@@ -58,6 +58,7 @@ let analyze ?(pi_probability = 0.5) ?(max_iterations = 40) ?(tolerance = 1e-4)
   in
   let dffs = Netlist.dffs nl in
   let rec iterate k =
+    Sttc_util.Deadline.check ();
     propagate_comb ();
     let delta = ref 0. in
     List.iter

@@ -106,6 +106,7 @@ let sample ~rng ?(fraction = 0.02) ?(min_ffs = 2) ?(exclude_critical = []) nl =
     let paths = ref [] in
     Array.iter
       (fun id ->
+        Sttc_util.Deadline.check ();
         match find_io_path_with ~rng ~po_driver nl id with
         | None -> ()
         | Some p ->

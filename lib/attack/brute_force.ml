@@ -37,6 +37,7 @@ let bitstream_of_index luts arities index =
 
 let candidate_matches ~vectors ~rng oracle sim_template hybrid bitstream =
   ignore sim_template;
+  Sttc_util.Deadline.check ();
   let candidate = Hybrid.program_with hybrid bitstream in
   let sim = Sttc_sim.Simulator.create candidate in
   let nl = candidate in

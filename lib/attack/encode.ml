@@ -28,6 +28,7 @@ let encode ?cnf ?(share_inputs = []) ?(share_keys = []) nl =
   let inputs = ref [] and keys = ref [] in
   Array.iter
     (fun id ->
+      Sttc_util.Deadline.check ();
       let node = Netlist.node nl id in
       match node.Netlist.kind with
       | Netlist.Pi | Netlist.Dff ->

@@ -59,6 +59,7 @@ let run ?(rounds = 12) ?(probes = 1024) ?(seed = 0x9e55) hybrid =
     List.map (fun id -> (id, Hashtbl.find hypo id)) luts
   in
   let score bitstream =
+    Sttc_util.Deadline.check ();
     (* lanes of agreement across the probe set *)
     let candidate = Hybrid.program_with hybrid bitstream in
     let sim = Sttc_sim.Simulator.create candidate in

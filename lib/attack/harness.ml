@@ -156,45 +156,35 @@ module Config = struct
     | _ -> Error "harness config: not a JSON object"
 end
 
-(* Every attack runs under the wall-clock budget.  The SAT variants
-   check their own deadline between solver iterations; the rest are
-   interrupted by {!Sttc_util.Timing.with_timeout}.  A zero (or
-   negative) budget means "don't even start": the attacker got no CPU,
-   so the design trivially resisted.
+(* An attack that did not get to run, or ran out of budget. *)
+let resisted attack detail =
+  {
+    attack;
+    verdict = Resisted;
+    seconds = 0.;
+    oracle_queries = 0;
+    detail;
+    sat_stats = None;
+  }
 
-   [with_timeout] arms a per-process setitimer, which only the main
-   domain may do — when the campaign runs inside a {!Sttc_util.Pool}
-   task the budget is instead enforced cooperatively: an attack that
-   returns past its budget is classified as exhausted, and attack code
-   that polls [Pool.check_deadline] is interrupted at the poll. *)
+(* Every attack runs under the wall-clock budget, a {!Sttc_util.Deadline}
+   the attack loops and the SAT solver poll.  A zero (or negative)
+   budget means "don't even start": the attacker got no CPU, so the
+   design trivially resisted.  An enclosing budget (a serve request's)
+   that runs out first is not this attack's to report: its expiry
+   propagates. *)
 let budgeted ~budget attack f =
-  let skip detail =
-    {
-      attack;
-      verdict = Resisted;
-      seconds = 0.;
-      oracle_queries = 0;
-      detail;
-      sat_stats = None;
-    }
-  in
-  let exhausted () =
-    {
-      (skip (Printf.sprintf "wall-clock budget (%.1fs) exhausted" budget)) with
-      seconds = budget;
-    }
-  in
-  if budget <= 0. then skip "zero budget"
-  else if Domain.is_main_domain () then
-    match Sttc_util.Timing.with_timeout ~seconds:budget f with
-    | Ok entry -> entry
-    | Error `Timeout -> exhausted ()
+  if budget <= 0. then resisted attack "zero budget"
   else
-    let t0 = Sttc_util.Pool.now_s () in
-    match f () with
-    | entry ->
-        if Sttc_util.Pool.now_s () -. t0 > budget then exhausted () else entry
-    | exception Sttc_util.Pool.Deadline_exceeded -> exhausted ()
+    match Sttc_util.Deadline.within budget f with
+    | Ok entry -> entry
+    | Error `Expired ->
+        {
+          (resisted attack
+             (Printf.sprintf "wall-clock budget (%.1fs) exhausted" budget))
+          with
+          seconds = budget;
+        }
 
 let attack ?solver ?(backend = Sttc_backend.Backend.stt) ?(config = Config.default)
     ~circuit ~algorithm hybrid =
@@ -229,15 +219,7 @@ let attack ?solver ?(backend = Sttc_backend.Backend.stt) ?(config = Config.defau
      and must not share one arena. *)
   let solver = if jobs <= 1 then solver else None in
   let sat_entry () =
-    if sat_timeout_s <= 0. then
-      {
-        attack = "sat";
-        verdict = Resisted;
-        seconds = 0.;
-        oracle_queries = 0;
-        detail = "zero budget";
-        sat_stats = None;
-      }
+    if sat_timeout_s <= 0. then resisted "sat" "zero budget"
     else
       match
         Sat_attack.run ~timeout_s:sat_timeout_s ~candidates ~mode:solver_mode
@@ -346,15 +328,7 @@ let attack ?solver ?(backend = Sttc_backend.Backend.stt) ?(config = Config.defau
             })
   in
   let seq_entry () =
-    if seq_timeout_s <= 0. then
-      {
-        attack = "sat-seq";
-        verdict = Resisted;
-        seconds = 0.;
-        oracle_queries = 0;
-        detail = "zero budget";
-        sat_stats = None;
-      }
+    if seq_timeout_s <= 0. then resisted "sat-seq" "zero budget"
     else
       match
         Sat_attack.run_sequential ~frames:seq_frames ~timeout_s:seq_timeout_s

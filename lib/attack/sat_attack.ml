@@ -2,6 +2,7 @@ module Netlist = Sttc_netlist.Netlist
 module Cnf = Sttc_logic.Cnf
 module Sat = Sttc_logic.Sat
 module Hybrid = Sttc_core.Hybrid
+module Deadline = Sttc_util.Deadline
 
 type solver_mode = Incremental | Scratch
 
@@ -54,15 +55,17 @@ let make_solver ?reuse mode cnf =
     | Scratch -> None
   in
   let solve ?assumptions ?max_conflicts () =
-    let r =
+    let s =
       match live with
       | Some s ->
           Sat.Solver.sync s cnf;
-          Sat.Solver.solve ?assumptions ?max_conflicts s
-      | None -> Sat.Solver.solve ?assumptions ?max_conflicts (Sat.Solver.of_cnf cnf)
+          s
+      | None -> Sat.Solver.of_cnf cnf
     in
-    stats := add_stats !stats (Sat.last_stats ());
-    r
+    (* an expired call still records its statistics *)
+    Fun.protect
+      ~finally:(fun () -> stats := add_stats !stats (Sat.last_stats ()))
+      (fun () -> Sat.Solver.solve ?assumptions ?max_conflicts s)
   in
   (solve, fun () -> !stats)
 
@@ -80,8 +83,13 @@ let canonical_key
     (solve :
       ?assumptions:Cnf.lit list -> ?max_conflicts:int -> unit -> Sat.result)
     keys ~act =
+  (* these solves carry no conflict budget, so [Unknown] cannot occur;
+     an expired deadline raises through them instead of leaving a
+     non-canonical key *)
+  let cannot_happen r = invalid_arg ("Sat_attack.canonical_key: " ^ r) in
   match solve ~assumptions:[ -act ] () with
-  | Sat.Unsat | Sat.Unknown _ -> None
+  | Sat.Unsat -> None
+  | Sat.Unknown r -> cannot_happen r
   | Sat.Sat m0 ->
       let model = ref m0 in
       let fixed = ref [ -act ] in
@@ -96,7 +104,7 @@ let canonical_key
                     model := m;
                     fixed := -l :: !fixed
                 | Sat.Unsat -> fixed := l :: !fixed
-                | Sat.Unknown _ -> () (* unbudgeted: cannot happen *))
+                | Sat.Unknown r -> cannot_happen r)
             key)
         keys;
       Some !model
@@ -126,12 +134,87 @@ let restrict_keys cnf keys candidates =
           Cnf.add_clause cnf selectors)
     keys
 
+(* A double-key miter ready for the DIP loop: its solver, activation
+   literal and copy-1 key literals, plus [observe] (query the oracle on a
+   distinguishing model and pin the answer into the formula) and
+   [conclude] (turn the canonical consistent model into a verified
+   bitstream, or a reason to give up). *)
+type miter = {
+  solve : ?assumptions:Cnf.lit list -> ?max_conflicts:int -> unit -> Sat.result;
+  stats : unit -> Sat.stats;
+  act : Cnf.lit;
+  keys : (Netlist.node_id * Cnf.lit array) list;
+  observe : bool array -> unit;
+  conclude :
+    bool array -> ((Netlist.node_id * Sttc_logic.Truth.t) list, string) result;
+}
+
+(* The DIP loop both attacks share, under the attack's wall-clock
+   budget.  [setup ()] builds the miter inside the budget, like the
+   loop. *)
+let dip_loop ~max_iterations ~max_conflicts_per_call ~timeout_s oracle setup =
+  let t0 = Deadline.now_s () in
+  let iterations = ref 0 in
+  let stats = ref (fun () -> Sat.zero_stats) in
+  let exhausted reason =
+    Exhausted
+      {
+        iterations = !iterations;
+        seconds = Deadline.now_s () -. t0;
+        reason;
+        stats = !stats ();
+      }
+  in
+  let attack () =
+    let m = setup () in
+    stats := m.stats;
+    let rec loop () =
+      if !iterations >= max_iterations then exhausted "iteration limit"
+      else
+        match
+          Sttc_obs.Span.with_ "sat.dip_iteration" ~cat:"attack"
+            ~attrs:[ ("iteration", string_of_int (!iterations + 1)) ]
+            (fun () ->
+              m.solve ~assumptions:[ m.act ]
+                ~max_conflicts:max_conflicts_per_call ())
+        with
+        | Sat.Unknown _ -> exhausted "conflict budget"
+        | Sat.Unsat -> (
+            (* No distinguishing input remains: every key consistent with
+               the recorded I/O pairs is functionally equivalent on them;
+               extract the canonical one under the deactivated miter. *)
+            match canonical_key m.solve m.keys ~act:m.act with
+            | None -> exhausted "no consistent key (internal error)"
+            | Some model -> (
+                match m.conclude model with
+                | Error reason -> exhausted reason
+                | Ok bitstream ->
+                    Broken
+                      {
+                        bitstream;
+                        queries = Oracle.queries oracle;
+                        iterations = !iterations;
+                        seconds = Deadline.now_s () -. t0;
+                        stats = !stats ();
+                      }))
+        | Sat.Sat model ->
+            m.observe model;
+            incr iterations;
+            loop ()
+    in
+    loop ()
+  in
+  match Deadline.within timeout_s attack with
+  | Ok outcome -> outcome
+  | Error `Expired -> exhausted "timeout"
+
 let run ?(max_iterations = 2000) ?(max_conflicts_per_call = 200_000)
     ?(timeout_s = 60.) ?(candidates = []) ?(mode = Incremental) ?solver hybrid
     =
-  let t0 = Unix.gettimeofday () in
   let foundry = Hybrid.foundry_view hybrid in
   let oracle = Oracle.create hybrid in
+  dip_loop ~max_iterations ~max_conflicts_per_call ~timeout_s oracle
+  @@ fun () ->
   (* Copy 1 and copy 2 share inputs, have independent keys. *)
   let c1 = Encode.encode foundry in
   let c2 =
@@ -158,92 +241,28 @@ let run ?(max_iterations = 2000) ?(max_conflicts_per_call = 200_000)
      inputs must stay free, so each observation gets fresh circuit copies
      sharing only the key variables; the incremental solver just absorbs
      the new clauses, keeping everything it has learned. *)
-  let constrain_io input_bits output_bits =
+  let observe model =
+    let input_bits =
+      Array.of_list
+        (List.map (fun (_, l) -> Sat.model_value model l) c1.Encode.inputs)
+    in
+    let output_bits = Oracle.query oracle input_bits in
     let fresh1 = Encode.encode ~cnf ~share_keys:c1.Encode.keys foundry in
     let fresh2 =
       Encode.encode ~cnf ~share_inputs:fresh1.Encode.inputs
         ~share_keys:c2.Encode.keys foundry
     in
-    List.iteri
-      (fun i (_, l) ->
-        Cnf.add_clause cnf [ (if input_bits.(i) then l else -l) ])
-      fresh1.Encode.inputs;
-    List.iteri
-      (fun i (_, l) ->
-        Cnf.add_clause cnf [ (if output_bits.(i) then l else -l) ])
-      fresh1.Encode.outputs;
-    List.iteri
-      (fun i (_, l) ->
-        Cnf.add_clause cnf [ (if output_bits.(i) then l else -l) ])
-      fresh2.Encode.outputs
+    let pin bits lits =
+      List.iteri
+        (fun i (_, l) -> Cnf.add_clause cnf [ (if bits.(i) then l else -l) ])
+        lits
+    in
+    pin input_bits fresh1.Encode.inputs;
+    pin output_bits fresh1.Encode.outputs;
+    pin output_bits fresh2.Encode.outputs
   in
-  let input_count = List.length c1.Encode.inputs in
-  let rec loop iteration =
-    let elapsed = Unix.gettimeofday () -. t0 in
-    if iteration > max_iterations then
-      Exhausted
-        {
-          iterations = iteration - 1;
-          seconds = elapsed;
-          reason = "iteration limit";
-          stats = stats ();
-        }
-    else if elapsed > timeout_s then
-      Exhausted
-        {
-          iterations = iteration - 1;
-          seconds = elapsed;
-          reason = "timeout";
-          stats = stats ();
-        }
-    else
-      match
-        Sttc_obs.Span.with_ "sat.dip_iteration" ~cat:"attack"
-          ~attrs:[ ("iteration", string_of_int iteration) ]
-          (fun () ->
-            solve ~assumptions:[ act ] ~max_conflicts:max_conflicts_per_call ())
-      with
-      | Sat.Unknown _ ->
-          Exhausted
-            {
-              iterations = iteration - 1;
-              seconds = Unix.gettimeofday () -. t0;
-              reason = "conflict budget";
-              stats = stats ();
-            }
-      | Sat.Unsat -> (
-          (* No distinguishing input: every key consistent with the
-             recorded I/O pairs is functionally correct; extract the
-             canonical one under the deactivated miter. *)
-          match canonical_key solve c1.Encode.keys ~act with
-          | Some model ->
-              Broken
-                {
-                  bitstream = Encode.key_of_model c1 model;
-                  queries = Oracle.queries oracle;
-                  iterations = iteration - 1;
-                  seconds = Unix.gettimeofday () -. t0;
-                  stats = stats ();
-                }
-          | None ->
-              Exhausted
-                {
-                  iterations = iteration - 1;
-                  seconds = Unix.gettimeofday () -. t0;
-                  reason = "no consistent key (internal error)";
-                  stats = stats ();
-                })
-      | Sat.Sat model ->
-          (* distinguishing input from the model *)
-          let input_bits = Array.make input_count false in
-          List.iteri
-            (fun i (_, l) -> input_bits.(i) <- Sat.model_value model l)
-            c1.Encode.inputs;
-          let output_bits = Oracle.query oracle input_bits in
-          constrain_io input_bits output_bits;
-          loop (iteration + 1)
-  in
-  loop 1
+  let conclude model = Ok (Encode.key_of_model c1 model) in
+  { solve; stats; act; keys = c1.Encode.keys; observe; conclude }
 
 let verify_break hybrid bitstream =
   let candidate = Hybrid.program_with hybrid bitstream in
@@ -254,9 +273,10 @@ let verify_break hybrid bitstream =
 let run_sequential ?(frames = 5) ?(max_iterations = 500)
     ?(max_conflicts_per_call = 200_000) ?(timeout_s = 60.) ?(candidates = [])
     ?(mode = Incremental) ?solver hybrid =
-  let t0 = Unix.gettimeofday () in
   let foundry = Hybrid.foundry_view hybrid in
   let oracle = Oracle.create hybrid in
+  dip_loop ~max_iterations ~max_conflicts_per_call ~timeout_s oracle
+  @@ fun () ->
   let c1 = Encode.encode_unrolled ~frames foundry in
   let cnf = c1.Encode.u_cnf in
   let c2 =
@@ -280,8 +300,19 @@ let run_sequential ?(frames = 5) ?(max_iterations = 500)
   let act = Cnf.fresh_var cnf in
   Cnf.add_clause cnf (-act :: !diffs);
   let solve, stats = make_solver ?reuse:solver mode cnf in
-  (* pin an observed sequence into fresh unrolled copies of both keys *)
-  let constrain_io pi_seq po_seq =
+  (* the distinguishing sequence from the model, observed and pinned into
+     fresh unrolled copies of both keys *)
+  let pi_count = List.length c1.Encode.frame_pis.(0) in
+  let observe model =
+    let pi_seq =
+      List.init frames (fun frame ->
+          let bits = Array.make pi_count false in
+          List.iteri
+            (fun i (_, l) -> bits.(i) <- Sat.model_value model l)
+            c1.Encode.frame_pis.(frame);
+          bits)
+    in
+    let po_seq = Oracle.query_sequence oracle pi_seq in
     let fresh1 =
       Encode.encode_unrolled ~cnf ~share_keys:c1.Encode.u_keys ~frames foundry
     in
@@ -303,92 +334,20 @@ let run_sequential ?(frames = 5) ?(max_iterations = 500)
           fresh2.Encode.frame_pos.(frame))
       pi_seq
   in
-  let pi_count = List.length c1.Encode.frame_pis.(0) in
-  let rec loop iteration =
-    let elapsed = Unix.gettimeofday () -. t0 in
-    if iteration > max_iterations then
-      Exhausted
-        {
-          iterations = iteration - 1;
-          seconds = elapsed;
-          reason = "iteration limit";
-          stats = stats ();
-        }
-    else if elapsed > timeout_s then
-      Exhausted
-        {
-          iterations = iteration - 1;
-          seconds = elapsed;
-          reason = "timeout";
-          stats = stats ();
-        }
-    else
-      match
-        Sttc_obs.Span.with_ "sat.dip_iteration" ~cat:"attack"
-          ~attrs:[ ("iteration", string_of_int iteration) ]
-          (fun () ->
-            solve ~assumptions:[ act ] ~max_conflicts:max_conflicts_per_call ())
-      with
-      | Sat.Unknown _ ->
-          Exhausted
-            {
-              iterations = iteration - 1;
-              seconds = Unix.gettimeofday () -. t0;
-              reason = "conflict budget";
-              stats = stats ();
-            }
-      | Sat.Unsat -> (
-          (* no distinguishing sequence of this length remains; extract
-             the canonical consistent key and verify it *)
-          match canonical_key solve c1.Encode.u_keys ~act with
-          | Some model ->
-              let fake_keyed =
-                {
-                  Encode.cnf;
-                  inputs = [];
-                  outputs = [];
-                  keys = c1.Encode.u_keys;
-                  node_lits = [||];
-                }
-              in
-              let bitstream = Encode.key_of_model fake_keyed model in
-              if verify_break hybrid bitstream then
-                Broken
-                  {
-                    bitstream;
-                    queries = Oracle.queries oracle;
-                    iterations = iteration - 1;
-                    seconds = Unix.gettimeofday () -. t0;
-                    stats = stats ();
-                  }
-              else
-                Exhausted
-                  {
-                    iterations = iteration - 1;
-                    seconds = Unix.gettimeofday () -. t0;
-                    reason = "sequence-length limit";
-                    stats = stats ();
-                  }
-          | None ->
-              Exhausted
-                {
-                  iterations = iteration - 1;
-                  seconds = Unix.gettimeofday () -. t0;
-                  reason = "no consistent key (internal error)";
-                  stats = stats ();
-                })
-      | Sat.Sat model ->
-          (* distinguishing sequence from the model *)
-          let pi_seq =
-            List.init frames (fun frame ->
-                let bits = Array.make pi_count false in
-                List.iteri
-                  (fun i (_, l) -> bits.(i) <- Sat.model_value model l)
-                  c1.Encode.frame_pis.(frame);
-                bits)
-          in
-          let po_seq = Oracle.query_sequence oracle pi_seq in
-          constrain_io pi_seq po_seq;
-          loop (iteration + 1)
+  (* keys that agree on every length-[frames] sequence may still differ
+     on longer ones: verify before claiming a break *)
+  let conclude model =
+    let fake_keyed =
+      {
+        Encode.cnf;
+        inputs = [];
+        outputs = [];
+        keys = c1.Encode.u_keys;
+        node_lits = [||];
+      }
+    in
+    let bitstream = Encode.key_of_model fake_keyed model in
+    if verify_break hybrid bitstream then Ok bitstream
+    else Error "sequence-length limit"
   in
-  loop 1
+  { solve; stats; act; keys = c1.Encode.u_keys; observe; conclude }

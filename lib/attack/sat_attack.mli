@@ -59,6 +59,12 @@ val run :
     hybrid's secret programmed view — the attacker code only ever
     touches the foundry view and the oracle interface.
 
+    [timeout_s] is a {!Sttc_util.Deadline} budget over the whole attack,
+    encoding included: past it the outcome is [Exhausted] with reason
+    ["timeout"], never a key from an interrupted extraction.  When an
+    enclosing budget runs out first, {!Sttc_util.Deadline.Expired}
+    propagates instead.
+
     [solver] recycles an existing solver arena for the [Incremental]
     engine instead of allocating a fresh one: the attack
     {!Sttc_logic.Sat.Solver.reset}s it and then owns it for the whole

@@ -53,6 +53,7 @@ let run ?(budget_patterns = 20_000) ?(targeted = false) ?(target_attempts = 4)
   let forced =
     List.map
       (fun id ->
+        Sttc_util.Deadline.check ();
         let const v =
           (if v then Sttc_logic.Truth.const_true
            else Sttc_logic.Truth.const_false)
@@ -80,6 +81,7 @@ let run ?(budget_patterns = 20_000) ?(targeted = false) ?(target_attempts = 4)
   ignore out_count;
   let patterns = ref 0 in
   while !patterns < budget_patterns do
+    Sttc_util.Deadline.check ();
     incr patterns;
     (* random primary/state assignment *)
     let assignment = Array.init n_in (fun _ -> Rng.bool rng) in
@@ -95,6 +97,7 @@ let run ?(budget_patterns = 20_000) ?(targeted = false) ?(target_attempts = 4)
        this pattern justifies. *)
     List.iter
       (fun (id, (nl0, nl1)) ->
+        Sttc_util.Deadline.check ();
         let table = Hashtbl.find resolved id in
         (* ternary sim with LUT id forced to 0 / 1, everything else X *)
         let v0 = Ternary_sim.eval_comb ~state nl0 pis
@@ -178,6 +181,7 @@ let run ?(budget_patterns = 20_000) ?(targeted = false) ?(target_attempts = 4)
         let attempt = ref 0 in
         let blocked = ref [] in
         while table.(row) = None && !attempt < target_attempts do
+          Sttc_util.Deadline.check ();
           incr attempt;
           (* copy A forces the LUT low, copy B high; other keys shared *)
           let c1 = Encode.encode foundry in

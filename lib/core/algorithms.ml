@@ -98,6 +98,7 @@ let parametric_with_meta ~rng ?(options = default_parametric) ctx =
           let rec attempt retries want =
             if want = 0 || retries > options.max_retries then []
             else
+              let () = Sttc_util.Deadline.check () in
               let pick = Array.to_list (Rng.sample rng want arr) in
               let trial =
                 Int_set.elements (Int_set.union !replaced (Int_set.of_list pick))
@@ -151,6 +152,7 @@ let parametric_with_meta ~rng ?(options = default_parametric) ctx =
   in
   while (not (Int_set.is_empty !replaced)) && !repair_budget > 0 && violated !replaced do
     decr repair_budget;
+    Sttc_util.Deadline.check ();
     let _, critical = Select.trial_critical ctx (Int_set.elements !replaced) in
     let on_critical =
       List.filter (fun id -> Int_set.mem id !replaced) critical

@@ -99,6 +99,9 @@ let protect ?(seed = 1) ?(library = Sttc_tech.Library.cmos90)
   let (hybrid, meta, base_sta), selection_seconds =
     Sttc_util.Timing.time (fun () ->
         let ctx = Select.prepare ~rng ~fraction ?sta:base_sta library netlist in
+        (* the protect passes are whole-design sweeps: the budget is
+           polled between them, and inside the selection loops *)
+        Sttc_util.Deadline.check ();
         let gates, meta =
           match algorithm with
           | Independent { count } ->
@@ -114,6 +117,7 @@ let protect ?(seed = 1) ?(library = Sttc_tech.Library.cmos90)
            corruptibility (D_i of Eqs. 1-2 is infinite): drop such picks,
            which only arise from dead logic in the input netlist.  The
            [unobservable-lut] lint rule enforces the same invariant. *)
+        Sttc_util.Deadline.check ();
         let depth_to_po = Sttc_netlist.Query.sequential_depth_to_po netlist in
         let observable id = depth_to_po.(id) < max_int in
         let gates = List.filter observable gates in
@@ -166,6 +170,7 @@ let protect ?(seed = 1) ?(library = Sttc_tech.Library.cmos90)
   in
   (* Every protect run is statically checked: a malformed hybrid would
      silently produce wrong security numbers downstream. *)
+  Sttc_util.Deadline.check ();
   let lint =
     Sttc_lint.Structural.check ~library (Hybrid.programmed hybrid)
   in
@@ -207,6 +212,7 @@ let protect ?(seed = 1) ?(library = Sttc_tech.Library.cmos90)
       lint @ sem
     end
   in
+  Sttc_util.Deadline.check ();
   let security =
     Security.evaluate
       ~constants:{ Security.alpha = backend.Backend.alpha; p = backend.Backend.p }
@@ -221,6 +227,7 @@ let protect ?(seed = 1) ?(library = Sttc_tech.Library.cmos90)
       else Backend.eval_library backend library
     in
     let baseline = Ppa.baseline ~sta:base_sta eval_library netlist in
+    Sttc_util.Deadline.check ();
     Ppa.evaluate ~baseline eval_library ~base:netlist
       ~hybrid:(Hybrid.programmed hybrid)
   in
@@ -273,6 +280,7 @@ let protect_resilient ?(seed = 1) ?library ?fraction ?hardening ?semantic
     rejections := { attempted; attempt_seed; reason } :: !rejections
   in
   let try_once alg attempt_seed =
+    Sttc_util.Deadline.check ();
     match
       protect ~seed:attempt_seed ?library ?fraction ?hardening ?semantic
         ?backend ?base_sta alg netlist

@@ -115,9 +115,6 @@ val rows : Config.t -> Sttc_core.Report.benchmark_row list
     final checkpoint file) are bit-identical to a serial run because
     each task's result depends only on [seed]; three differences are
     semantic, not numeric:
-    - stage budgets are enforced cooperatively (an overrunning stage is
-      reported as timed out when it completes) rather than interrupted
-      by [setitimer], which does not compose with domains;
     - the checkpoint is written as results are merged after the fan-out
       rather than after each benchmark;
     - [on_event] may be invoked from worker domains (calls are
@@ -154,9 +151,8 @@ val run_unit :
     with the reason — the caller (a campaign worker) records it as a
     footnoted partial row rather than dying.  Deterministic in [seed]
     when no timeout fires.  [backend] selects the protection technology
-    (default STT).  The timeout uses
-    {!Sttc_util.Timing.with_timeout} and is therefore main-domain
-    only — exactly the situation of a worker process. *)
+    (default STT).  The timeout is a {!Sttc_util.Deadline}, polled at
+    the protect loop boundaries. *)
 
 val fig1 : unit -> string
 val table1 : Sttc_core.Report.benchmark_row list -> string

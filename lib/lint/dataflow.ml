@@ -243,6 +243,7 @@ let compute_live nl order const =
      boundaries (a DFF is live only if its output is) *)
   let changed = ref true in
   while !changed do
+    Sttc_util.Deadline.check ();
     changed := false;
     for i = Array.length order - 1 downto 0 do
       let id = order.(i) in
@@ -273,6 +274,7 @@ let compute ?(patterns = 24) ?(seed = 0xda7a) nl =
   let n = Netlist.node_count nl in
   (* constant propagation: every source unknown *)
   let const = eval_pass nl order (fun _ -> Ternary.X) in
+  Sttc_util.Deadline.check ();
   let tainted = compute_taint nl order in
   (* random known-source sampling: signatures and stuck-at candidates *)
   let rng = Rng.make seed in
@@ -280,6 +282,7 @@ let compute ?(patterns = 24) ?(seed = 0xda7a) nl =
   let stuck = Array.make n Ternary.X in
   let varied = Array.make n false in
   for p = 0 to patterns - 1 do
+    Sttc_util.Deadline.check ();
     let v = eval_pass nl order (fun _ -> Ternary.of_bool (Rng.bool rng)) in
     for id = 0 to n - 1 do
       let code =
@@ -294,8 +297,11 @@ let compute ?(patterns = 24) ?(seed = 0xda7a) nl =
   for id = 0 to n - 1 do
     if varied.(id) then stuck.(id) <- Ternary.X
   done;
+  (* whole-design passes: the budget is polled between them *)
+  Sttc_util.Deadline.check ();
   let cc0, cc1, co = compute_scoap nl order in
   let live = compute_live nl order const in
+  Sttc_util.Deadline.check ();
   let summary = Query.cone_summary nl in
   let seq_depth = Query.sequential_depth_to_po nl in
   {

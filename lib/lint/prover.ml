@@ -139,6 +139,7 @@ let create ?(budget = 50_000) nl =
   let b = Array.make n { t = true_lit; f = true_lit } in
   let luts = ref [] in
   let encode_node which rails_of id =
+    Sttc_util.Deadline.check ();
     let node = Netlist.node nl id in
     match node.Netlist.kind with
     | Netlist.Pi | Netlist.Dff -> free_rails cnf ~total:true

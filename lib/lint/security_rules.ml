@@ -193,6 +193,7 @@ let check_broken_chain v =
       let chained lut =
         List.exists
           (fun other ->
+            Sttc_util.Deadline.check ();
             other <> lut
             && (Query.reaches v.foundry lut other
                || Query.reaches v.foundry other lut))
@@ -333,6 +334,10 @@ let run ?(only = []) v =
   in
   List.concat_map
     (fun (rules, check) ->
-      if List.exists (enabled only) rules then check () else [])
+      if List.exists (enabled only) rules then begin
+        Sttc_util.Deadline.check ();
+        check ()
+      end
+      else [])
     packs
   |> D.filter_rules ~only

@@ -351,7 +351,12 @@ let run ?(only = []) ?(library = Sttc_tech.Library.cmos90) g =
     ]
   in
   List.concat_map
-    (fun (rule, check) -> if enabled only rule then check () else [])
+    (fun (rule, check) ->
+      if enabled only rule then begin
+        Sttc_util.Deadline.check ();
+        check ()
+      end
+      else [])
     packs
 
 let check ?only ?library nl = run ?only ?library (Graph.of_netlist nl)

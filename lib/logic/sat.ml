@@ -585,6 +585,7 @@ module Solver = struct
     ensure_vars s (Cnf.nvars cnf);
     let n = Cnf.nclauses cnf in
     while s.synced < n do
+      if s.synced land 1023 = 0 then Sttc_util.Deadline.check ();
       add_root s (Array.map lit_index (Cnf.clause cnf s.synced));
       s.synced <- s.synced + 1
     done
@@ -598,9 +599,18 @@ module Solver = struct
 
   exception Done of result
 
+  (* The deadline poll stride, in conflicts plus decisions: never per
+     propagation, but counting decisions too, because one call can make
+     many O(nvars) decisions with hardly a conflict. *)
+  let poll_mask = 15
+
   let solve ?(assumptions = []) ?(max_conflicts = max_int) s =
     let at_entry = stats s in
-    let finish r =
+    let poll () =
+      if (s.s_conflicts + s.s_decisions) land poll_mask = 0 then
+        Sttc_util.Deadline.check ()
+    in
+    let record () =
       let now = stats s in
       let d =
         {
@@ -625,7 +635,10 @@ module Solver = struct
           incr ~by:d.learned "sat.learned";
           incr ~by:d.removed "sat.removed";
           incr ~by:d.restarts "sat.restarts";
-          peak_gauge "sat.kept_clauses" (float_of_int d.kept));
+          peak_gauge "sat.kept_clauses" (float_of_int d.kept))
+    in
+    let finish r =
+      record ();
       r
     in
     if s.unsat then finish Unsat
@@ -660,6 +673,7 @@ module Solver = struct
               enqueue s arr.(0) ci
             end;
             decay s;
+            poll ();
             if s.s_conflicts - conflicts0 >= max_conflicts then
               raise (Done (Unknown "conflict budget"));
             decr until_restart;
@@ -701,12 +715,20 @@ module Solver = struct
               raise (Done (Sat model))
             end;
             s.s_decisions <- s.s_decisions + 1;
+            poll ();
             new_level s;
             enqueue s (lit_index (if s.phase.(v) then v else -v)) (-1)
           end
         done;
         assert false
-      with Done r -> finish r
+      with
+      | Done r -> finish r
+      | Sttc_util.Deadline.Expired as e ->
+          (* leave the solver reusable at level 0 with its statistics
+             recorded; the expiry itself belongs to the budget's owner *)
+          backtrack s 0;
+          record ();
+          raise e
     end
 end
 
@@ -719,7 +741,10 @@ let is_satisfiable cnf =
   match solve cnf with
   | Sat _ -> true
   | Unsat -> false
-  | Unknown _ -> assert false (* unbudgeted solve never gives up *)
+  | Unknown _ ->
+      (* without [max_conflicts] a solve never gives up; an expired
+         deadline raises instead of answering *)
+      assert false
 
 let model_value model v =
   if v <= 0 || v >= Array.length model then

@@ -86,7 +86,13 @@ module Solver : sig
       "unsatisfiable under these assumptions"; once [Unsat] is derived
       with no assumptions the solver is permanently unsatisfiable.
       [max_conflicts] bounds this call's conflicts; exhaustion returns
-      {!Unknown}. *)
+      {!Unknown}.
+
+      The search polls the domain's {!Sttc_util.Deadline} every few
+      conflicts and decisions.  On expiry it backtracks to level 0,
+      records {!last_stats} and raises {!Sttc_util.Deadline.Expired}:
+      a spent wall-clock budget is never reported as {!Unknown}, and the
+      solver stays usable. *)
 
   val stats : t -> stats
   (** Cumulative statistics over the solver's lifetime; [kept] is the
@@ -108,7 +114,8 @@ val last_stats : unit -> stats
     race. *)
 
 val is_satisfiable : Cnf.t -> bool
-(** Convenience wrapper (unbudgeted, so never {!Unknown}). *)
+(** Convenience wrapper (unbudgeted, so never {!Unknown}; raises
+    {!Sttc_util.Deadline.Expired} past the domain's deadline). *)
 
 val model_value : bool array -> int -> bool
 (** [model_value model v] reads variable [v] from a {!Sat} model. *)

@@ -96,6 +96,7 @@ let generate_internal ?hub_bias ~seed spec =
         Some (pct, Array.sub l0 0 (min 64 (Array.length l0)))
   in
   for l = 1 to levels do
+    Sttc_util.Deadline.check ();
     (* snapshot once per level: [prior_signals] only grows between levels,
        so this is identical to converting at each use, without the O(n)
        copy inside the retry loops (which matters at 10^6 gates) *)

@@ -6,12 +6,11 @@
     difference between the two would be a bug — the CI serve gate diffs
     their responses byte for byte.
 
-    Budgets: a request's [timeout_s] is enforced with
-    {!Sttc_util.Timing.with_timeout} on the main domain and
-    cooperatively (overrun classified on return) on worker domains —
-    identical [Error] text either way.  The [attack] verb is always
-    budgeted cooperatively, because the harness arms the process timer
-    internally for its per-attack budgets and the timer does not nest.
+    Budgets: a request's [timeout_s] arms one {!Sttc_util.Deadline}
+    around the whole request, polled by the protect loops, the attack
+    loops and the SAT solver — the same on the main domain and on a
+    daemon worker, with the same [Error] text.  The attack harness's
+    per-attack budgets nest inside it.
 
     Metrics: [serve.requests], [serve.errors] and the
     [serve.request_seconds] histogram. *)

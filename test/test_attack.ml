@@ -511,28 +511,6 @@ let test_dpa_hybrid_leaks_less_on_target () =
     (Printf.sprintf "leakage not amplified (%.2fx)" reduction)
     true (reduction >= 0.8)
 
-let test_scan_oracle_matches_direct () =
-  (* the pin-level scan protocol gives bit-exact combinational access at
-     2*FFs + 1 clocks per query *)
-  let nl = Sttc_netlist.Iscas_data.s27 () in
-  let r = protect ~seed:1 (Flow.Independent { count = 3 }) nl in
-  let direct = Oracle.create r.Flow.hybrid in
-  let via_scan = Sttc_attack.Scan_oracle.create r.Flow.hybrid in
-  Alcotest.(check int) "cycles per query" 7
-    (Sttc_attack.Scan_oracle.cycles_per_query via_scan);
-  let n_in = List.length (Oracle.input_names direct) in
-  let rng = Rng.make 9 in
-  for _ = 1 to 64 do
-    let inputs = Array.init n_in (fun _ -> Rng.bool rng) in
-    Alcotest.(check bool) "same answer" true
-      (Oracle.query direct inputs
-      = Sttc_attack.Scan_oracle.query via_scan inputs)
-  done;
-  Alcotest.(check int) "clock accounting" (64 * 7)
-    (Sttc_attack.Scan_oracle.clock_cycles via_scan);
-  Alcotest.(check int) "query count" 64
-    (Sttc_attack.Scan_oracle.queries via_scan)
-
 (* ---------- harness ---------- *)
 
 let test_harness_campaign () =
@@ -635,6 +613,83 @@ let test_harness_seq_budget_independent () =
 
 (* The Config JSON codec: full round-trip, the empty object as the
    default config, and typed rejection of a bad solver mode. *)
+(* ---------- budgets ---------- *)
+
+(* An expired deadline is never a verdict: whatever the budget, the SAT
+   attack either recovers the canonical key of an unbudgeted run or
+   reports a timeout — never a different key or an internal error. *)
+let test_sat_budget_sweep () =
+  let nl = Sttc_netlist.Iscas_data.s27 () in
+  let h = (protect ~seed:1 Flow.Dependent nl).Flow.hybrid in
+  let canonical =
+    match Sat_attack.run h with
+    | Sat_attack.Broken b -> b.bitstream
+    | Sat_attack.Exhausted e -> Alcotest.failf "unbudgeted run: %s" e.reason
+  in
+  for i = 0 to 23 do
+    (* 50 us to 200 ms, geometrically: the attack takes about a
+       millisecond, so the low end expires in set-up, in the DIP loop and
+       in the canonical-key extraction *)
+    let budget = 5e-5 *. (4000. ** (float_of_int i /. 23.)) in
+    match Sat_attack.run ~timeout_s:budget h with
+    | Sat_attack.Broken b ->
+        Alcotest.(check bool)
+          (Printf.sprintf "canonical key at %.4fs" budget)
+          true (b.bitstream = canonical)
+    | Sat_attack.Exhausted e ->
+        Alcotest.(check string)
+          (Printf.sprintf "reason at %.4fs" budget)
+          "timeout" e.reason
+  done
+
+(* The s641/dependent campaign at a 0.2 s budget: every attack returns
+   within budget + 50 ms, at one job and at two, with the existing
+   exhaustion texts.  Per-attack wall time is read from the harness's
+   own spans. *)
+let test_harness_budget_bound () =
+  let nl = Sttc_experiments.Runner.build_circuit "s641" in
+  let h = (protect ~seed:1 Flow.Dependent nl).Flow.hybrid in
+  let module Obs = Sttc_obs.Obs in
+  let module Span = Sttc_obs.Span in
+  List.iter
+    (fun jobs ->
+      Obs.reset ();
+      Obs.enable ();
+      let c =
+        Fun.protect ~finally:Obs.disable (fun () ->
+            Harness.attack ~circuit:"s641" ~algorithm:"dependent"
+              ~config:
+                Harness.Config.(
+                  default |> with_sat_timeout_s 0.2 |> with_jobs jobs)
+              h)
+      in
+      let walls =
+        List.filter_map
+          (function
+            | Span.Complete s when s.name = "harness.attack" ->
+                Some (List.assoc "attack" s.attrs, s.dur_us *. 1e-6)
+            | Span.Complete _ | Span.Instant _ -> None)
+          (Span.events ())
+      in
+      Obs.reset ();
+      Alcotest.(check int) "six attacks timed" 6 (List.length walls);
+      List.iter
+        (fun (attack, wall) ->
+          if wall > 0.25 then
+            Alcotest.failf "-j %d: %s took %.3fs (budget 0.2s + 50ms)" jobs
+              attack wall)
+        walls;
+      List.iter
+        (fun (e : Harness.entry) ->
+          if e.verdict = Harness.Resisted && e.seconds >= 0.2 then
+            Alcotest.(check bool)
+              (Printf.sprintf "-j %d: %s exhaustion text" jobs e.attack)
+              true
+              (List.mem e.detail
+                 [ "timeout"; "wall-clock budget (0.2s) exhausted" ]))
+        c.Harness.entries)
+    [ 1; 2 ]
+
 let test_harness_config_json_roundtrip () =
   let module C = Harness.Config in
   let config =
@@ -746,11 +801,6 @@ let () =
             test_encode_unrolled_true_key_matches_oracle;
           Alcotest.test_case "attack small" `Slow test_sequential_attack_small;
         ] );
-      ( "scan_oracle",
-        [
-          Alcotest.test_case "matches direct access" `Quick
-            test_scan_oracle_matches_direct;
-        ] );
       ( "dpa",
         [
           Alcotest.test_case "deterministic/sane" `Quick
@@ -773,5 +823,7 @@ let () =
             test_harness_backend_default;
           Alcotest.test_case "solver reuse identical" `Slow
             test_solver_reuse_identical;
+          Alcotest.test_case "sat budget sweep" `Quick test_sat_budget_sweep;
+          Alcotest.test_case "budget bound" `Quick test_harness_budget_bound;
         ] );
     ]

@@ -416,30 +416,6 @@ let test_program_ideal_channel_matches_apply () =
         (equivalent (Provision.apply foundry entries) view)
   | None -> Alcotest.fail "view missing"
 
-(* ---------- Timing.with_timeout ---------- *)
-
-let test_with_timeout () =
-  (match Timing.with_timeout ~seconds:5. (fun () -> 42) with
-  | Ok v -> Alcotest.(check int) "fast f returns" 42 v
-  | Error `Timeout -> Alcotest.fail "must not time out");
-  (match
-     Timing.with_timeout ~seconds:0.05 (fun () ->
-         while true do
-           ignore (Sys.opaque_identity (ref 0))
-         done)
-   with
-  | Ok () -> Alcotest.fail "infinite loop cannot return"
-  | Error `Timeout -> ());
-  (match Timing.with_timeout ~seconds:0. (fun () -> 1) with
-  | Ok _ -> Alcotest.fail "zero budget must refuse to run"
-  | Error `Timeout -> ());
-  (* exceptions propagate, they are not misreported as timeouts *)
-  Alcotest.(check bool) "exception escapes" true
-    (try
-       ignore (Timing.with_timeout ~seconds:5. (fun () -> failwith "boom"));
-       false
-     with Failure m -> m = "boom")
-
 (* ---------- Runner: isolation, timeout, checkpoint ---------- *)
 
 let test_runner_zero_timeout_partial_rows () =
@@ -581,8 +557,6 @@ let () =
           Alcotest.test_case "ideal channel = apply" `Quick
             test_program_ideal_channel_matches_apply;
         ] );
-      ( "timeout",
-        [ Alcotest.test_case "with_timeout" `Quick test_with_timeout ] );
       ( "runner",
         [
           Alcotest.test_case "zero timeout partial rows" `Quick

@@ -558,6 +558,23 @@ let test_sem_budget () =
   check_fires "cutoffs surface" "sem-budget" ds;
   Alcotest.(check int) "no errors under cutoff" 0 (D.errors ds)
 
+(* a spent wall-clock budget is not a conflict-budget cutoff: the pack
+   stops at the deadline (here inside the prover's queries) instead of
+   answering with SEM006 cutoffs *)
+let test_sem_deadline_not_cutoff () =
+  let nl = Sttc_experiments.Runner.build_circuit "s5378a" in
+  let t0 = Sttc_util.Deadline.now_s () in
+  let answered_after = ref None in
+  ignore
+    (Sttc_util.Deadline.within 0.3 (fun () ->
+         let ds = Sem.run (Sem.view nl) in
+         answered_after := Some (Sttc_util.Deadline.now_s () -. t0);
+         ds));
+  match !answered_after with
+  | Some dt when dt > 0.3 ->
+      Alcotest.failf "semantic pack answered %.2fs into a 0.3s budget" dt
+  | Some _ | None -> ()
+
 (* brute-force differential check: every SEM001/SEM004 claim on a small
    netlist verified by exhaustive enumeration of the <= 2^12 source
    assignments, and every true constant claimed (completeness) *)
@@ -862,6 +879,8 @@ let () =
           Alcotest.test_case "eq1-chain" `Quick test_sem_eq1_chain;
           Alcotest.test_case "eq1-closure" `Quick test_sem_eq1_closure;
           Alcotest.test_case "budget" `Quick test_sem_budget;
+          Alcotest.test_case "deadline is no cutoff" `Quick
+            test_sem_deadline_not_cutoff;
           Alcotest.test_case "differential" `Slow test_sem_differential;
           Alcotest.test_case "s27-gate" `Slow test_sem_s27_gate;
         ] );

@@ -488,6 +488,51 @@ let test_cache_hits_via_stats () =
           (try ignore (shutdown_server socket d) with _ -> ());
           Alcotest.fail "stats verb returned an unexpected payload")
 
+(* ---------- request budgets ---------- *)
+
+(* One deadline per request, on any domain: attack, semantic lint and
+   protect each come back within budget + 50 ms with the existing error
+   text, whether the handler runs on the main domain (offline transport)
+   or on another domain (a daemon worker). *)
+let budget_requests =
+  [
+    {|{"verb":"attack","netlist":"s641","algorithm":"dependent","timeout_s":0.2}|};
+    {|{"verb":"lint","netlist":"s5378a","semantic":true,"timeout_s":0.2}|};
+    {|{"verb":"protect","netlist":"s38584","algorithm":"parametric","timeout_s":0.2}|};
+  ]
+
+let timed_handle line =
+  match Request.of_string line with
+  | Error e -> Alcotest.failf "bad request %s: %s" line e
+  | Ok r ->
+      (* a fresh session: building the netlist is part of the request *)
+      let session = Session.create () in
+      let t0 = Unix.gettimeofday () in
+      let resp = Handler.handle session r in
+      (resp, Unix.gettimeofday () -. t0)
+
+let test_request_budget_bound () =
+  List.iter
+    (fun line ->
+      List.iter
+        (fun (where, (resp, dt)) ->
+          if dt > 0.25 then
+            Alcotest.failf "%s: %s took %.3fs (budget 0.2s + 50ms)" where line
+              dt;
+          match resp with
+          | Response.Error { message; _ } ->
+              Alcotest.(check string)
+                (where ^ " error text") "request budget (0.2s) exhausted"
+                message
+          | Response.Ok _ -> (* finished inside the budget *) ()
+          | Response.Overloaded _ -> Alcotest.fail "handler cannot overload")
+        [
+          ("main domain", timed_handle line);
+          ( "spawned domain",
+            Domain.join (Domain.spawn (fun () -> timed_handle line)) );
+        ])
+    budget_requests
+
 let () =
   Alcotest.run "serve"
     [
@@ -518,5 +563,10 @@ let () =
             test_backpressure_overloaded;
           Alcotest.test_case "cache hits via stats" `Quick
             test_cache_hits_via_stats;
+        ] );
+      ( "budget",
+        [
+          Alcotest.test_case "request budget bound" `Quick
+            test_request_budget_bound;
         ] );
     ]

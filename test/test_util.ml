@@ -1,5 +1,5 @@
 (* Unit and property tests for Sttc_util: Lognum, Rng, Stats, Growable,
-   Timing, Table. *)
+   Timing, Deadline, Pool, Table. *)
 
 module Lognum = Sttc_util.Lognum
 module Rng = Sttc_util.Rng
@@ -258,41 +258,90 @@ let test_timing_time () =
   Alcotest.(check int) "result" 42 x;
   Alcotest.(check bool) "non-negative" true (dt >= 0.)
 
-let test_timing_nested_rejected () =
-  (* a nested with_timeout would clobber the single process timer; it
-     must be refused loudly instead of silently disarming the outer
-     budget *)
-  Alcotest.(check bool) "nested call raises Invalid_argument" true
-    (match
-       Timing.with_timeout ~seconds:5. (fun () ->
-           try
-             ignore (Timing.with_timeout ~seconds:1. (fun () -> 0));
-             false
-           with Invalid_argument _ -> true)
-     with
-    | Ok flagged -> flagged
-    | Error `Timeout -> false);
-  (* the guard is released on the way out: a fresh outer call works *)
-  match Timing.with_timeout ~seconds:5. (fun () -> 41 + 1) with
-  | Ok n -> Alcotest.(check int) "timer re-armable" 42 n
-  | Error `Timeout -> Alcotest.fail "trivial body timed out"
+(* ---------- Deadline ---------- *)
 
-let test_timing_off_main_domain_rejected () =
-  (* SIGALRM timers are per-process: arming one from a worker domain
-     would race the main domain's budget, so it must be refused *)
-  let raised =
-    Domain.spawn (fun () ->
-        try
-          ignore (Timing.with_timeout ~seconds:1. (fun () -> 0));
-          false
-        with Invalid_argument _ -> true)
-    |> Domain.join
-  in
-  Alcotest.(check bool) "non-main domain raises" true raised;
-  (* the refusal leaves the main domain's timer usable *)
-  match Timing.with_timeout ~seconds:5. (fun () -> 6 * 7) with
-  | Ok n -> Alcotest.(check int) "main domain still works" 42 n
-  | Error `Timeout -> Alcotest.fail "trivial body timed out"
+module Deadline = Sttc_util.Deadline
+
+(* busy-wait [seconds] on the deadline clock, polling when asked *)
+let spin ?(poll = false) seconds =
+  let stop = Deadline.now_s () +. seconds in
+  while Deadline.now_s () < stop do
+    if poll then Deadline.check ()
+  done
+
+let test_deadline_nesting () =
+  (* the inner budget cannot outlive the outer one: nesting takes the
+     min, and the outer deadline is back in force on every exit *)
+  let outer = ref None in
+  (match
+     Deadline.within 0.05 (fun () ->
+         outer := Some (Deadline.current ());
+         (match Deadline.within 10. (fun () -> Deadline.current ()) with
+         | Ok inner ->
+             Alcotest.(check bool) "inner = min(outer, own)" true
+               (Some inner = !outer)
+         | Error `Expired -> Alcotest.fail "inner budget expired early");
+         Alcotest.(check bool) "restored after return" true
+           (Some (Deadline.current ()) = !outer);
+         (match
+            Deadline.within 10. (fun () -> failwith "boom")
+          with
+         | _ -> Alcotest.fail "exception must escape"
+         | exception Failure _ -> ());
+         Alcotest.(check bool) "restored after raise" true
+           (Some (Deadline.current ()) = !outer);
+         (* an inner poll past the outer deadline is the outer's expiry *)
+         ignore (Deadline.within 10. (fun () -> spin ~poll:true 1.));
+         Alcotest.fail "the outer budget must stop the inner loop")
+   with
+  | Error `Expired -> ()
+  | Ok () -> Alcotest.fail "outer budget must report the expiry");
+  (* a short inner budget reports its own expiry and leaves the outer
+     one running *)
+  match
+    Deadline.within 10. (fun () ->
+        let inner = Deadline.within 0.01 (fun () -> spin ~poll:true 1.) in
+        Deadline.check ();
+        inner)
+  with
+  | Ok (Error `Expired) -> ()
+  | _ -> Alcotest.fail "inner expiry must not reach the outer budget"
+
+let test_deadline_zero_budget () =
+  let ran = ref false in
+  List.iter
+    (fun budget ->
+      match Deadline.within budget (fun () -> ran := true) with
+      | Error `Expired -> ()
+      | Ok () -> Alcotest.fail "zero budget must not succeed")
+    [ 0.; -1. ];
+  Alcotest.(check bool) "f never ran" false !ran
+
+let test_deadline_only_at_polls () =
+  (* nothing is asynchronous: a body that never polls runs to completion
+     and only its overrun is reported, at the boundary *)
+  let finished = ref false in
+  (match
+     Deadline.within 0.01 (fun () ->
+         spin 0.03;
+         finished := true)
+   with
+  | Error `Expired -> ()
+  | Ok () -> Alcotest.fail "overrun must be reported");
+  Alcotest.(check bool) "body ran to its end" true !finished;
+  (* outside any budget a poll is a no-op *)
+  Deadline.check ();
+  (* a poll past the deadline stops the body there *)
+  let reached = ref false in
+  (match
+     Deadline.within 0.01 (fun () ->
+         spin 0.02;
+         Deadline.check ();
+         reached := true)
+   with
+  | Error `Expired -> ()
+  | Ok () -> Alcotest.fail "poll must expire");
+  Alcotest.(check bool) "stopped at the poll" false !reached
 
 (* ---------- Pool ---------- *)
 
@@ -358,31 +407,34 @@ let test_pool_map_exn_raises_first_error () =
           Alcotest.(check int) "smallest failing index" 5 e.Pool.index)
 
 let test_pool_deadline_expires () =
+  (* the submitter's deadline reaches tasks on the worker domains: a
+     polling task stops there, and the expired bag is the submitter's
+     to report *)
   Pool.with_pool ~jobs:2 (fun pool ->
-      let out =
-        Pool.map ~deadline_s:0.005 pool
-          (fun slow ->
-            if slow then begin
-              let stop = Pool.now_s () +. 0.05 in
-              while Pool.now_s () < stop do
-                Pool.check_deadline ()
-              done;
-              "survived"
-            end
-            else "fast")
-          [ true; false ]
-      in
-      match out with
-      | [ Error e; Ok "fast" ] ->
-          Alcotest.(check bool) "deadline error" true
-            (e.Pool.exn = Printexc.to_string Pool.Deadline_exceeded)
-      | _ -> Alcotest.fail "slow task must expire, fast task must pass")
+      let t0 = Pool.now_s () in
+      match
+        Deadline.within 0.02 (fun () ->
+            Pool.map pool
+              (fun slow -> if slow then spin ~poll:true 5.)
+              [ true; false ])
+      with
+      | Error `Expired ->
+          Alcotest.(check bool) "stopped near the deadline" true
+            (Pool.now_s () -. t0 < 1.)
+      | Ok _ -> Alcotest.fail "an expired bag must not return results")
 
 let test_pool_deadline_noop_outside_tasks () =
-  (* polling from ordinary code (no armed deadline) must be harmless *)
-  Pool.check_deadline ();
-  Alcotest.(check (option (float 1.))) "no deadline armed" None
-    (Pool.remaining_s ())
+  (* without a budget around the submission, tasks run unbudgeted and
+     their polls are harmless *)
+  Pool.with_pool ~jobs:2 (fun pool ->
+      let out =
+        Pool.map_exn pool
+          (fun x ->
+            Deadline.check ();
+            x * 2)
+          [ 1; 2; 3 ]
+      in
+      Alcotest.(check (list int)) "all tasks ran" [ 2; 4; 6 ] out)
 
 let test_pool_map_reduce_order_stable () =
   Pool.with_pool ~jobs:4 (fun pool ->
@@ -497,10 +549,15 @@ let () =
         [
           Alcotest.test_case "format_min_sec" `Quick test_timing_format;
           Alcotest.test_case "time" `Quick test_timing_time;
-          Alcotest.test_case "nested timeout rejected" `Quick
-            test_timing_nested_rejected;
-          Alcotest.test_case "off-main-domain timeout rejected" `Quick
-            test_timing_off_main_domain_rejected;
+        ] );
+      ( "deadline",
+        [
+          Alcotest.test_case "nesting takes the min" `Quick
+            test_deadline_nesting;
+          Alcotest.test_case "zero budget does not run" `Quick
+            test_deadline_zero_budget;
+          Alcotest.test_case "expiry only at polls" `Quick
+            test_deadline_only_at_polls;
         ] );
       ( "pool",
         [

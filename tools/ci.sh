@@ -301,6 +301,53 @@ for cmd in "protect -i $tmpdir/s27.bench" "attack -i $tmpdir/s27.bench" \
   fi
 done
 
+echo "== budget gate (one deadline: requests and attacks stop at their budget on any domain)"
+# Each command gets five seconds (timeout(1) exits 124) for a 0.2 s
+# budget, on the main domain, on pool domains and in the only worker of
+# a daemon, which must then still answer a ping.  An error response
+# exits 1.
+BUDGET_MSG='"message":"request budget (0.2s) exhausted"'
+budget_status=0
+budget_out=$(timeout 5 "$STTC_BIN" client --offline --request \
+  '{"verb":"attack","netlist":"s641","algorithm":"dependent","timeout_s":0.2}') \
+  || budget_status=$?
+case "$budget_status:$budget_out" in
+  1:*"$BUDGET_MSG"*) ;;
+  *) echo "BUDGET GATE FAILED: offline s641 attack request (exit $budget_status): $budget_out" >&2
+     exit 1 ;;
+esac
+"$STTC_BIN" gen -b s641 -o "$tmpdir/s641.bench" > /dev/null
+if ! timeout 5 "$STTC_BIN" attack -i "$tmpdir/s641.bench" -a dependent \
+     --timeout 0.2 -j 2 > "$tmpdir/budget.attack"; then
+  echo "BUDGET GATE FAILED: sttc attack --timeout 0.2 -j 2 failed or overran 5 s" >&2
+  exit 1
+fi
+BSOCK="$tmpdir/budget.sock"
+"$STTC_BIN" serve --socket "$BSOCK" -j 1 2> "$tmpdir/budget.serve.log" &
+BUDGET_PID=$!
+for _ in $(seq 1 100); do
+  [ -S "$BSOCK" ] && break
+  sleep 0.1
+done
+budget_status=0
+budget_lint=$(timeout 5 "$STTC_BIN" client --socket "$BSOCK" --request \
+  '{"verb":"lint","netlist":"s5378a","semantic":true,"timeout_s":0.2}') \
+  || budget_status=$?
+budget_ping=$(timeout 5 "$STTC_BIN" client --socket "$BSOCK" --request \
+  '{"verb":"ping"}') || budget_ping="unanswered (exit $?)"
+"$STTC_BIN" client --socket "$BSOCK" --request '{"verb":"shutdown"}' > /dev/null || true
+wait $BUDGET_PID || true
+case "$budget_status:$budget_lint" in
+  1:*"$BUDGET_MSG"*) ;;
+  *) echo "BUDGET GATE FAILED: daemon s5378a lint (exit $budget_status): $budget_lint" >&2
+     exit 1 ;;
+esac
+if [ "$budget_ping" != '{"status":"ok","verb":"ping"}' ]; then
+  echo "BUDGET GATE FAILED: the only worker is wedged (ping: $budget_ping)" >&2
+  cat "$tmpdir/budget.serve.log" >&2
+  exit 1
+fi
+
 status=0
 for b in $benches; do
   echo "== lint $b (structural + all three algorithms)"
