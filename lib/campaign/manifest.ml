@@ -46,6 +46,16 @@ let rec find_dup seen = function
 
 let validate m =
   let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
+  (* [not (t > 0.)] also rejects NaN *)
+  let non_positive =
+    List.find_map
+      (function name, Some t when not (t > 0.) -> Some name | _ -> None)
+      [
+        ("heartbeat_timeout_s", Some m.heartbeat_timeout_s);
+        ("timeout_s", m.timeout_s);
+        ("attempt_timeout_s", m.attempt_timeout_s);
+      ]
+  in
   if m.name = "" then fail "manifest: empty name"
   else if m.circuits = [] then fail "manifest: no circuits"
   else if m.algorithms = [] then fail "manifest: no algorithms"
@@ -53,8 +63,8 @@ let validate m =
   else if m.seeds = [] then fail "manifest: no seeds"
   else if m.shards < 1 then fail "manifest: shards must be >= 1"
   else if m.retries < 0 then fail "manifest: retries must be >= 0"
-  else if m.heartbeat_timeout_s <= 0. then
-    fail "manifest: heartbeat_timeout_s must be > 0"
+  else if Option.is_some non_positive then
+    fail "manifest: %s must be > 0" (Option.get non_positive)
   else if Option.is_none (Sttc_backend.Backend.find m.backend) then
     fail "manifest: unknown backend %s" m.backend
   else

@@ -54,7 +54,8 @@ type row = {
 
 val of_result :
   Manifest.run -> (Sttc_core.Flow.result, string) result -> row
-(** Flatten a {!Sttc_experiments.Runner.run_unit} outcome into a row. *)
+(** Flatten one protect run's outcome (a result, or the captured crash
+    or timeout reason) into a row. *)
 
 (** {1 Assignment} *)
 

@@ -1,6 +1,7 @@
 module Runner = Sttc_experiments.Runner
 module Metrics = Sttc_obs.Metrics
 module Flow = Sttc_core.Flow
+module Deadline = Sttc_util.Deadline
 
 type outcome = { computed : int; restored : int; failed : int }
 
@@ -8,6 +9,38 @@ let kill_injection_env = "STTC_CAMPAIGN_KILL"
 
 (* Section IV-A.3 hardening as a single manifest switch. *)
 let hardened = { Flow.extra_inputs_per_lut = 2; absorb_drivers = true }
+
+(* One protect run: build the benchmark, run the strict flow at [seed],
+   and turn a [timeout_s] overrun or a crash into [Error reason], which
+   becomes a footnoted row instead of killing the worker.  The budget is
+   a {!Sttc_util.Deadline} polled at the protect loop boundaries; an
+   expired enclosing deadline is not a crash and keeps propagating. *)
+let run_unit ?timeout_s ?fraction ?hardening ~backend ~seed ~benchmark alg =
+  Sttc_obs.Span.with_ "runner.unit" ~cat:"experiments"
+    ~attrs:
+      [ ("benchmark", benchmark); ("algorithm", Flow.algorithm_name alg) ]
+  @@ fun () ->
+  let t0 = Deadline.now_s () in
+  let protect () =
+    let nl = Runner.build_circuit benchmark in
+    (Flow.run ~seed ?fraction ?hardening ~backend ~policy:Flow.Strict alg nl)
+      .Flow.accepted
+  in
+  let outcome =
+    try
+      match timeout_s with
+      | None -> Ok (protect ())
+      | Some budget ->
+          Result.map_error
+            (fun `Expired -> Printf.sprintf "run: timeout after %.1fs" budget)
+            (Deadline.within budget protect)
+    with
+    | Deadline.Expired as e -> raise e
+    | Invalid_argument m | Failure m -> Error ("run: " ^ m)
+    | e -> Error ("run: " ^ Printexc.to_string e)
+  in
+  Metrics.observe "runner.unit_seconds" (Deadline.now_s () -. t0);
+  outcome
 
 let kill_after ~shard =
   match Sys.getenv_opt kill_injection_env with
@@ -60,7 +93,7 @@ let run ?(allow_kill_injection = false) ~dir ~shard ~attempt () =
             | None ->
                 bump ();
                 let result =
-                  Runner.run_unit ?timeout_s:m.Manifest.timeout_s
+                  run_unit ?timeout_s:m.Manifest.timeout_s
                     ?fraction:r.config.fraction
                     ?hardening:(if r.config.harden then Some hardened else None)
                     ~backend ~seed:r.seed ~benchmark:r.circuit r.algorithm

@@ -2,17 +2,19 @@
 
     A worker loads the manifest, derives its run list from the shard
     index alone, restores finished rows from the shard checkpoint, and
-    executes the remaining runs through
-    {!Sttc_experiments.Runner.run_unit} — checkpointing after every run
-    and bumping the heartbeat file around it, so the supervisor can tell
-    a slow run from a hung one and a SIGKILL costs at most the run in
-    flight.
+    executes the remaining runs one protect at a time — checkpointing
+    after every run and bumping the heartbeat file around it, so the
+    supervisor can tell a slow run from a hung one and a SIGKILL costs
+    at most the run in flight.
 
     Crash discipline: the worker never retries anything itself.  A
-    per-run crash or timeout becomes a [Failed] row (the run is {e
+    per-run crash, or an overrun of the manifest's [timeout_s] (a
+    {!Sttc_util.Deadline}), becomes a [Failed] row (the run is {e
     complete}, with a footnote); anything that kills the process is the
     supervisor's problem, and the checkpoint makes the next attempt
-    incremental. *)
+    incremental.  This is the only crash guard around protect runs: the
+    in-process experiment runner ({!Sttc_experiments.Runner.rows}) has
+    none. *)
 
 type outcome = {
   computed : int;  (** runs executed by this attempt *)

@@ -5,25 +5,7 @@ type benchmark_row = {
   circuit : string;
   size : int;
   results : (string * Flow.result) list;
-  failures : (string * string) list;
 }
-
-let complete_row circuit size results =
-  { circuit; size; results; failures = [] }
-
-(* Partial rows print their cells as "-"; the footnote says why. *)
-let failure_notes rows =
-  let notes =
-    List.concat_map
-      (fun row ->
-        List.map
-          (fun (alg, reason) ->
-            Printf.sprintf "  ! %s/%s: %s" row.circuit alg reason)
-          row.failures)
-      rows
-  in
-  if notes = [] then ""
-  else "partial results:\n" ^ String.concat "\n" notes ^ "\n"
 
 let algorithms = [ "independent"; "dependent"; "parametric" ]
 let short = function
@@ -91,7 +73,7 @@ let table1 rows =
     @ [
         Printf.sprintf "%.0f" (avg (fun row -> Some (float_of_int row.size)));
       ]);
-  Table.render t ^ failure_notes rows
+  Table.render t
 
 let table2 rows =
   let headers =
@@ -110,7 +92,7 @@ let table2 rows =
                | None -> "-")
              algorithms))
     rows;
-  Table.render t ^ failure_notes rows
+  Table.render t
 
 let clocks_for name (r : Flow.result) =
   match name with

@@ -6,15 +6,7 @@ type benchmark_row = {
   size : int;  (** gate count excluding flip-flops *)
   results : (string * Flow.result) list;
       (** keyed by algorithm name, in table order *)
-  failures : (string * string) list;
-      (** algorithms that produced no result (crash, timeout), with the
-          reason — their table cells render as ["-"] and each failure is
-          listed in a footnote under the table *)
 }
-
-val complete_row :
-  string -> int -> (string * Flow.result) list -> benchmark_row
-(** A row with no failures. *)
 
 val table1 : benchmark_row list -> string
 (** Performance degradation %, power overhead %, area overhead %, and

@@ -12,36 +12,6 @@
 val master_seed : int
 (** 20160605 — fixed so published output is reproducible. *)
 
-(** {1 Progress events}
-
-    The run reports progress as a typed stream instead of pre-rendered
-    strings, so the CLI, the bench harness and future tracing can each
-    render (or aggregate) it their own way. *)
-
-type stage =
-  | Build  (** constructing the benchmark netlist *)
-  | Protect of string  (** running one named selection algorithm *)
-
-type exn_info = {
-  benchmark : string;
-  stage : stage;
-  reason : string;  (** the exception message, without the stage label *)
-}
-
-type event =
-  | Started of string  (** benchmark name, before any work on it *)
-  | Restored of string  (** benchmark row loaded from the checkpoint *)
-  | Timed_out of { benchmark : string; stage : stage; budget_s : float }
-  | Failed of exn_info  (** stage crashed (isolation captured it) *)
-  | Finished of Sttc_core.Report.benchmark_row
-      (** benchmark done (only when its build stage succeeded; the row
-          may still carry per-algorithm failures) *)
-
-val string_of_event : event -> string
-(** The classic progress-line rendering of an event, e.g.
-    ["s641: restored from checkpoint"] or
-    ["FAILED s641/dependent: protect: timeout after 2.0s"]. *)
-
 (** {1 Configuration}
 
     The driver's knobs as one value instead of a growing pile of
@@ -55,79 +25,47 @@ module Config : sig
     seed : int;  (** master seed; every row is deterministic in it *)
     only : string list option;
         (** restrict to these benchmarks (unknown names raise up front) *)
-    timeout_s : float option;
-        (** wall-clock budget per build / per protect stage *)
-    isolate : bool;
-        (** turn per-benchmark crashes into partial rows instead of
-            aborting the whole table *)
-    checkpoint : string option;
-        (** snapshot file rewritten atomically as benchmarks complete *)
     jobs : int;
-        (** worker domains; [1] = serial (identical rows either way) *)
+        (** worker domains; [1] = no pool (identical rows either way) *)
     backend : string;
         (** protection backend name ({!Sttc_backend.Backend.names});
             default ["stt"] *)
-    on_event : event -> unit;  (** progress stream consumer *)
   }
 
   val default : t
-  (** quick=false, seed={!master_seed}, no restriction, no timeout, no
-      isolation, no checkpoint, jobs=1, backend="stt", events dropped. *)
+  (** quick=false, seed={!master_seed}, no restriction, jobs=1,
+      backend="stt". *)
 
   val with_quick : bool -> t -> t
   val with_seed : int -> t -> t
   val with_only : string list -> t -> t
-  val with_timeout_s : float -> t -> t
-  val with_isolate : bool -> t -> t
-  val with_checkpoint : string -> t -> t
   val with_jobs : int -> t -> t
   val with_backend : string -> t -> t
-  val with_on_event : (event -> unit) -> t -> t
-
-  val to_json : t -> Sttc_obs.Json.t
-  (** The data fields only — [on_event] is a function and has no wire
-      form.  Optional fields ([only], [timeout_s], [checkpoint]) are
-      omitted when unset, and [backend] is omitted at its default, so
-      historical configs render byte-identically. *)
-
-  val of_json : Sttc_obs.Json.t -> (t, string) result
-  (** Missing fields take their {!default}s; [on_event] is always
-      [ignore] (attach one with {!with_on_event} after parsing). *)
 end
 
 val rows : Config.t -> Sttc_core.Report.benchmark_row list
 (** Protect every selected benchmark with the paper's three algorithms.
 
-    Crash tolerance (see the {!Config} fields): [timeout_s] budgets each
-    build and protect stage, [isolate] degrades crashes to partial rows
-    (rendered as ["-"] cells with a footnote), and [checkpoint] lets a
-    killed run resume where it stopped — a corrupt, foreign or
-    different-seed or different-backend checkpoint is ignored, and
-    partial rows are never checkpointed, so a rerun with a longer budget
-    recomputes them.
+    One fan-out for every job count: a build task per benchmark (its
+    netlist warmed with {!Sttc_netlist.Netlist.warm}), then a protect
+    task per benchmark x algorithm, with rows assembled in submission
+    order.  Both stages go through one mapper: [List.map], or
+    {!Sttc_util.Pool.map_exn} on a single pool when [jobs > 1] and the
+    bag is large enough to repay spawning domains
+    ({!Sttc_util.Pool.worthwhile}, 30,000 gate x algorithm units).
+    Each task depends only on [seed], so rows are bit-identical at any
+    job count, and both mappers record the same [runner.build] /
+    [runner.protect] spans and metrics.  A crashing task propagates:
+    as itself under [List.map], as {!Sttc_util.Pool.Task_error} under
+    the pool.
 
     [backend] selects the protection technology for every protect stage
     (resolved up front with {!Sttc_backend.Backend.find_exn}, so an
     unknown name raises before any work starts).
 
-    Parallelism: with [jobs > 1] the build stages and the benchmark ×
-    algorithm protect stages run on a {!Sttc_util.Pool}.  Rows (and the
-    final checkpoint file) are bit-identical to a serial run because
-    each task's result depends only on [seed]; three differences are
-    semantic, not numeric:
-    - the checkpoint is written as results are merged after the fan-out
-      rather than after each benchmark;
-    - [on_event] may be invoked from worker domains (calls are
-      serialized by a mutex), and event order across benchmarks is not
-      deterministic;
-    - without [isolate], a crashing stage surfaces as
-      {!Sttc_util.Pool.Task_error} instead of the original exception. *)
-
-(** {1 Shard-scoped entry points}
-
-    The campaign engine ({!Sttc_campaign}) executes sweeps as bags of
-    single [benchmark x algorithm x seed] units inside supervised worker
-    processes; these two functions are that unit of work. *)
+    There is no budget, isolation or checkpoint here: a budgeted,
+    crash-isolated, resumable sweep is a campaign manifest
+    ({!Sttc_campaign}, e.g. [examples/table1.json]). *)
 
 val build_circuit : ?seed:int -> string -> Sttc_netlist.Netlist.t
 (** Resolve a benchmark name to its netlist: the ISCAS'89 structural
@@ -136,23 +74,6 @@ val build_circuit : ?seed:int -> string -> Sttc_netlist.Netlist.t
     [Invalid_argument] on unknown names.  Without [seed] the profile's
     own name-derived seed is used, so every caller sees the same
     circuit. *)
-
-val run_unit :
-  ?timeout_s:float ->
-  ?fraction:float ->
-  ?hardening:Sttc_core.Flow.hardening ->
-  ?backend:Sttc_backend.Backend.t ->
-  seed:int ->
-  benchmark:string ->
-  Sttc_core.Flow.algorithm ->
-  (Sttc_core.Flow.result, string) result
-(** One protect run, isolated: build the benchmark, run the strict flow
-    at [seed], and capture any crash or [timeout_s] overrun as [Error]
-    with the reason — the caller (a campaign worker) records it as a
-    footnoted partial row rather than dying.  Deterministic in [seed]
-    when no timeout fires.  [backend] selects the protection technology
-    (default STT).  The timeout is a {!Sttc_util.Deadline}, polled at
-    the protect loop boundaries. *)
 
 val fig1 : unit -> string
 val table1 : Sttc_core.Report.benchmark_row list -> string
@@ -229,12 +150,6 @@ val fault_sweep :
     dies per rate.  [jobs > 1] programs the yield table's dies in
     parallel; every die's channel seed is derived up front, so the
     output is identical at any job count. *)
-
-val resume_selftest : ?seed:int -> unit -> (string, string) result
-(** Checkpoint round-trip smoke test (the [@fault] alias): run s641
-    into a fresh checkpoint, rerun s641+s820 against it, and require
-    exactly one restore plus a Table I byte-identical to a fresh run.
-    [Error] carries the first violated expectation. *)
 
 val ablation_constants : ?seed:int -> unit -> string
 (** Eq. (2) attack cost under the paper's published alpha/P constants

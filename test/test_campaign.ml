@@ -1,9 +1,11 @@
 (* Tests for the lib/campaign engine: manifest codec and validation,
    deterministic shard assignment, the versioned checkpoint container
-   under truncation, worker checkpoint/resume equality, and the
+   under truncation, worker checkpoint/resume equality, the
    supervisor's failure paths — killed, stalled, lying and crashing
    workers — driven with /bin/sh stand-in workers so every failure is
-   deterministic and fast. *)
+   deterministic and fast, and the campaign as the budgeted Table I
+   executor (same cells as the in-process Runner.rows, per-run timeouts
+   footnoted). *)
 
 module Manifest = Sttc_campaign.Manifest
 module Shard = Sttc_campaign.Shard
@@ -12,6 +14,8 @@ module Supervisor = Sttc_campaign.Supervisor
 module Aggregate = Sttc_campaign.Aggregate
 module Ckpt = Sttc_util.Ckpt
 module Flow = Sttc_core.Flow
+module Report = Sttc_core.Report
+module Runner = Sttc_experiments.Runner
 module Metrics = Sttc_obs.Metrics
 module Obs = Sttc_obs.Obs
 
@@ -69,6 +73,11 @@ let scrubbed f () =
       Obs.disable ();
       Obs.reset ())
     f
+
+let contains hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
 
 (* ---------- manifest ---------- *)
 
@@ -133,7 +142,33 @@ let test_manifest_rejections () =
       match Manifest.of_string text with
       | Ok _ -> Alcotest.fail (what ^ ": accepted")
       | Error _ -> ())
-    bad
+    bad;
+  (* non-positive or NaN budgets: the error names the field *)
+  let budget field value =
+    Printf.sprintf {|{"name": "x", "circuits": ["s27"], "seeds": [1], "%s": %s}|}
+      field value
+  in
+  let check_budget field result =
+    match result with
+    | Ok _ -> Alcotest.fail (field ^ ": non-positive budget accepted")
+    | Error e ->
+        Alcotest.(check bool) (field ^ " named in " ^ e) true (contains e field)
+  in
+  List.iter
+    (fun (field, value) -> check_budget field (Manifest.of_string (budget field value)))
+    [
+      ("attempt_timeout_s", "-1.0");
+      ("attempt_timeout_s", "0");
+      ("timeout_s", "0.0");
+      ("timeout_s", "-2.5");
+      ("heartbeat_timeout_s", "0");
+    ];
+  let make = Manifest.make ~name:"x" ~circuits:[ "s27" ] ~seeds:[ 1 ] in
+  check_budget "timeout_s" (Manifest.validate (make ~timeout_s:Float.nan ()));
+  check_budget "attempt_timeout_s"
+    (Manifest.validate (make ~attempt_timeout_s:Float.nan ()));
+  check_budget "heartbeat_timeout_s"
+    (Manifest.validate (make ~heartbeat_timeout_s:Float.nan ()))
 
 (* ---------- shard assignment ---------- *)
 
@@ -432,12 +467,7 @@ let test_aggregate_degraded_footnotes () =
   (match Aggregate.validate (Aggregate.to_json agg) with
   | Ok n -> Alcotest.(check int) "rows cover every run" 2 n
   | Error e -> Alcotest.fail e);
-  let text = Aggregate.render_text agg in
-  let contains needle =
-    let nl = String.length needle and tl = String.length text in
-    let rec go i = i + nl <= tl && (String.sub text i nl = needle || go (i + 1)) in
-    go 0
-  in
+  let contains = contains (Aggregate.render_text agg) in
   Alcotest.(check bool) "missing row footnoted" true (contains "missing [1]");
   Alcotest.(check bool)
     "footnote names the degraded shard" true
@@ -467,6 +497,81 @@ let test_aggregate_json_rejects_inconsistency () =
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "inconsistent counts accepted")
   | _ -> Alcotest.fail "report is not an object"
+
+(* ---------- the campaign as the budgeted Table I executor ---------- *)
+
+let run_in_process m =
+  let dir = fresh_dir () in
+  Manifest.save (Shard.manifest_path dir) m;
+  let outcome =
+    Supervisor.run
+      (Supervisor.config ~jobs:1 ~worker:Supervisor.In_process ~dir
+         ~manifest:m ())
+  in
+  Alcotest.(check bool) "every shard complete" true
+    (Supervisor.all_complete outcome);
+  (dir, Aggregate.collect ~dir m)
+
+(* A campaign over Table I twins at the master seed reproduces the
+   in-process Runner.rows Table I cells exactly. *)
+let test_campaign_matches_runner_table1 =
+  scrubbed @@ fun () ->
+  let circuits = [ "s641"; "s820" ] and seed = Runner.master_seed in
+  let _, agg =
+    run_in_process (Manifest.make ~name:"table1" ~circuits ~seeds:[ seed ] ())
+  in
+  let expected =
+    List.concat_map
+      (fun (row : Report.benchmark_row) ->
+        List.map (fun (alg, r) -> (row.circuit, alg, r)) row.results)
+      (Runner.rows Runner.Config.(default |> with_only circuits |> with_seed seed))
+  in
+  Alcotest.(check int) "one row per run" (List.length expected)
+    (List.length agg.Aggregate.rows);
+  List.iter2
+    (fun (circuit, alg, (r : Flow.result)) (row : Shard.row) ->
+      let what = circuit ^ "/" ^ alg in
+      Alcotest.(check string) "circuit" circuit row.circuit;
+      Alcotest.(check string) "algorithm" alg row.algorithm;
+      match row.outcome with
+      | Shard.Failed reason -> Alcotest.fail (what ^ " failed: " ^ reason)
+      | Shard.Done mt ->
+          let o = r.overhead in
+          Alcotest.(check (float 0.)) (what ^ " perf") o.performance_pct
+            mt.perf_pct;
+          Alcotest.(check (float 0.)) (what ^ " power") o.power_pct mt.power_pct;
+          Alcotest.(check (float 0.)) (what ^ " area") o.area_pct mt.area_pct;
+          Alcotest.(check int) (what ^ " LUTs") o.n_stts mt.luts)
+    expected agg.Aggregate.rows
+
+(* A per-run budget too small for any protect fails every run as a
+   timeout, and the report footnotes it instead of dying. *)
+let test_campaign_run_budget =
+  scrubbed @@ fun () ->
+  let m =
+    Manifest.make ~name:"budget" ~circuits:[ "s641" ]
+      ~algorithms:[ Flow.Dependent; Flow.Independent { count = 3 } ]
+      ~seeds:[ 1 ] ~timeout_s:1e-6 ()
+  in
+  let dir, agg = run_in_process m in
+  Alcotest.(check int) "a row per run" 2 (List.length agg.Aggregate.rows);
+  List.iter
+    (fun (row : Shard.row) ->
+      match row.outcome with
+      | Shard.Failed reason ->
+          Alcotest.(check bool) ("timeout reason: " ^ reason) true
+            (contains reason "run: timeout after")
+      | Shard.Done _ -> Alcotest.fail (row.algorithm ^ " beat a 1us budget"))
+    agg.Aggregate.rows;
+  (match Aggregate.write ~dir agg with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let text =
+    In_channel.with_open_bin (Shard.report_text_path dir) In_channel.input_all
+  in
+  Alcotest.(check bool) "rows footnoted" true (contains text "failed [1]");
+  Alcotest.(check bool) "footnote gives the reason" true
+    (contains text "[1] run failed: run: timeout after 0.0s")
 
 (* ---------- metrics snapshots across processes ---------- *)
 
@@ -533,6 +638,13 @@ let () =
             test_aggregate_degraded_footnotes;
           Alcotest.test_case "rejects inconsistency" `Quick
             test_aggregate_json_rejects_inconsistency;
+        ] );
+      ( "table1",
+        [
+          Alcotest.test_case "matches runner rows" `Quick
+            test_campaign_matches_runner_table1;
+          Alcotest.test_case "run budget footnoted" `Quick
+            test_campaign_run_budget;
         ] );
       ( "metrics",
         [

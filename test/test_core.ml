@@ -628,7 +628,7 @@ let test_report_rendering () =
       (fun alg -> (Flow.algorithm_name alg, protect ~seed:5 alg nl))
       Flow.default_algorithms
   in
-  let rows = [ Report.complete_row "med" 120 results ] in
+  let rows = [ { Report.circuit = "med"; size = 120; results } ] in
   let t1 = Report.table1 rows in
   Alcotest.(check bool) "table1 has circuit" true
     (String.length t1 > 0
@@ -651,40 +651,6 @@ let test_report_rendering () =
        && (String.sub f1 i (String.length re) = re || contains (i + 1))
      in
      contains 0)
-
-let contains hay needle =
-  let n = String.length needle in
-  let rec go i =
-    i + n <= String.length hay
-    && (String.sub hay i n = needle || go (i + 1))
-  in
-  go 0
-
-let test_report_partial_rows () =
-  let nl = medium_circuit 20 in
-  let results =
-    [ ("independent", protect ~seed:5 (Flow.Independent { count = 5 }) nl) ]
-  in
-  let row =
-    {
-      Report.circuit = "med";
-      size = 120;
-      results;
-      failures =
-        [ ("dependent", "protect: timeout after 1.0s"); ("parametric", "boom") ];
-    }
-  in
-  let t1 = Report.table1 [ row ] in
-  Alcotest.(check bool) "footnote present" true (contains t1 "partial results:");
-  Alcotest.(check bool) "names the timeout" true
-    (contains t1 "! med/dependent: protect: timeout after 1.0s");
-  Alcotest.(check bool) "names the crash" true (contains t1 "! med/parametric: boom");
-  let t2 = Report.table2 [ row ] in
-  Alcotest.(check bool) "table2 footnote" true (contains t2 "partial results:");
-  (* complete rows must not grow a footnote *)
-  let full = Report.complete_row "med" 120 results in
-  Alcotest.(check bool) "no footnote when complete" false
-    (contains (Report.table1 [ full ]) "partial results:")
 
 let () =
   Alcotest.run "sttc_core"
@@ -760,6 +726,5 @@ let () =
       ( "report",
         [
           Alcotest.test_case "rendering" `Quick test_report_rendering;
-          Alcotest.test_case "partial rows" `Quick test_report_partial_rows;
         ] );
     ]

@@ -1,7 +1,6 @@
 (* Tests for Sttc_fault (MTJ write channel, SECDED code, design-level
    fault injection) and the resilience built on it: the retrying
-   provisioner, the hardened bitstream parser and the crash-tolerant
-   experiment runner. *)
+   provisioner, the hardened bitstream parser and the fault sweep. *)
 
 module Netlist = Sttc_netlist.Netlist
 module Generator = Sttc_netlist.Generator
@@ -416,23 +415,7 @@ let test_program_ideal_channel_matches_apply () =
         (equivalent (Provision.apply foundry entries) view)
   | None -> Alcotest.fail "view missing"
 
-(* ---------- Runner: isolation, timeout, checkpoint ---------- *)
-
-let test_runner_zero_timeout_partial_rows () =
-  let rows =
-    Runner.rows
-      Runner.Config.(default |> with_only [ "s641" ] |> with_timeout_s 0.)
-  in
-  match rows with
-  | [ row ] ->
-      Alcotest.(check (list string)) "no results" []
-        (List.map fst row.Sttc_core.Report.results);
-      Alcotest.(check int) "all three algorithms reported failed" 3
-        (List.length row.Sttc_core.Report.failures);
-      let t1 = Runner.table1 rows in
-      Alcotest.(check bool) "rendered as partial" true
-        (contains t1 "partial results:")
-  | _ -> Alcotest.fail "expected exactly one row"
+(* ---------- Runner ---------- *)
 
 let test_runner_unknown_benchmark_rejected () =
   Alcotest.(check bool) "unknown name raises before any work" true
@@ -442,34 +425,6 @@ let test_runner_unknown_benchmark_rejected () =
             Runner.Config.(default |> with_only [ "definitely-not-a-bench" ]));
        false
      with Invalid_argument _ | Failure _ -> true)
-
-let test_runner_checkpoint_resume () =
-  match Runner.resume_selftest () with
-  | Ok msg ->
-      Alcotest.(check bool) "mentions the restore" true
-        (contains msg "restored")
-  | Error m -> Alcotest.fail ("resume self-test: " ^ m)
-
-let test_runner_corrupt_checkpoint_ignored () =
-  let path = Filename.temp_file "sttc-ckpt" ".bad" in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-    (fun () ->
-      let oc = open_out_bin path in
-      output_string oc "this is not a checkpoint";
-      close_out oc;
-      let rows =
-        Runner.rows
-          Runner.Config.(
-            default |> with_only [ "s641" ] |> with_checkpoint path)
-      in
-      Alcotest.(check int) "still computes the row" 1 (List.length rows);
-      match rows with
-      | [ row ] ->
-          Alcotest.(check (list string)) "all algorithms present"
-            [ "independent"; "dependent"; "parametric" ]
-            (List.map fst row.Sttc_core.Report.results)
-      | _ -> assert false)
 
 (* ---------- fault sweep (the CLI/bench surface) ---------- *)
 
@@ -488,23 +443,6 @@ let test_fault_sweep_parallel_identical () =
   let serial = Runner.fault_sweep ~rates:[ 1e-3 ] ~dies:4 () in
   let parallel = Runner.fault_sweep ~rates:[ 1e-3 ] ~dies:4 ~jobs:3 () in
   Alcotest.(check string) "sweep byte-identical" serial parallel
-
-(* ---------- runner event rendering (legacy progress strings) ---------- *)
-
-let test_event_strings () =
-  let check name expect ev =
-    Alcotest.(check string) name expect (Runner.string_of_event ev)
-  in
-  check "restored" "s641: restored from checkpoint" (Runner.Restored "s641");
-  check "build timeout" "FAILED s641: build: timeout after 2.0s"
-    (Runner.Timed_out
-       { benchmark = "s641"; stage = Runner.Build; budget_s = 2.0 });
-  check "protect timeout" "FAILED s641/dependent: protect: timeout after 0.5s"
-    (Runner.Timed_out
-       { benchmark = "s641"; stage = Runner.Protect "dependent"; budget_s = 0.5 });
-  check "build failure" "FAILED s641: build: boom"
-    (Runner.Failed
-       { Runner.benchmark = "s641"; stage = Runner.Build; reason = "boom" })
 
 let () =
   Alcotest.run "sttc_fault"
@@ -559,15 +497,8 @@ let () =
         ] );
       ( "runner",
         [
-          Alcotest.test_case "zero timeout partial rows" `Quick
-            test_runner_zero_timeout_partial_rows;
           Alcotest.test_case "unknown benchmark rejected" `Quick
             test_runner_unknown_benchmark_rejected;
-          Alcotest.test_case "checkpoint resume" `Slow
-            test_runner_checkpoint_resume;
-          Alcotest.test_case "event strings" `Quick test_event_strings;
-          Alcotest.test_case "corrupt checkpoint ignored" `Quick
-            test_runner_corrupt_checkpoint_ignored;
         ] );
       ( "sweep",
         [

@@ -150,16 +150,47 @@ let test_runner_quick_rows () =
   Alcotest.(check bool) "table2" true (String.length (Runner.table2 rows) > 0);
   Alcotest.(check bool) "fig3" true (String.length (Runner.fig3 rows) > 0)
 
-(* Table I and Fig. 3 depend only on the seed, so a pool fan-out must
-   render them byte-identically to a serial run.  Table II carries wall
+(* The two largest-but-one twins: 53,169 gate x algorithm units, above
+   the 30,000-unit threshold, so [jobs 2] takes the pool path.  Each run
+   is traced in-process and returns its rows with the span names and
+   metric series it recorded. *)
+let large_selection = [ "s13207"; "s15850a" ]
+
+let traced_rows jobs =
+  let module Obs = Sttc_obs.Obs in
+  Obs.reset ();
+  Obs.enable ();
+  Obs.attach_pool ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.detach_pool ();
+      Obs.disable ();
+      Obs.reset ())
+    (fun () ->
+      let rows =
+        Runner.rows
+          Runner.Config.(default |> with_only large_selection |> with_jobs jobs)
+      in
+      let spans =
+        List.sort_uniq compare
+          (List.filter_map
+             (function
+               | Sttc_obs.Span.Complete { name; _ } -> Some name
+               | Sttc_obs.Span.Instant _ -> None)
+             (Sttc_obs.Span.events ()))
+      in
+      let series = List.map fst (Sttc_obs.Metrics.snapshot ()) in
+      (rows, spans, series))
+
+let large_runs = lazy (traced_rows 1, traced_rows 2)
+
+(* Table I and Fig. 3 depend only on the seed, so the pool fan-out must
+   render them byte-identically to [List.map].  Table II carries wall
    clock, so only its deterministic shape is compared. *)
 let test_parallel_rows_match_serial () =
-  let run jobs =
-    Runner.rows
-      Runner.Config.(
-        default |> with_only [ "s641"; "s820" ] |> with_jobs jobs)
-  in
-  let serial = run 1 and parallel = run 4 in
+  let (serial, _, _), (parallel, spans, _) = Lazy.force large_runs in
+  Alcotest.(check bool) "jobs 2 ran on the pool" true
+    (List.mem "pool.chunk" spans);
   Alcotest.(check string) "Table I byte-identical" (Runner.table1 serial)
     (Runner.table1 parallel);
   Alcotest.(check string) "Fig. 3 byte-identical" (Runner.fig3 serial)
@@ -174,24 +205,20 @@ let test_parallel_rows_match_serial () =
         (List.map fst p.Sttc_core.Report.results))
     serial parallel
 
-let test_parallel_events_complete () =
-  (* one Started and one Finished per benchmark, even when they fire
-     from worker domains *)
-  let started = Atomic.make 0 and finished = Atomic.make 0 in
-  let rows =
-    Runner.rows
-      Runner.Config.(
-        default
-        |> with_only [ "s641"; "s820" ]
-        |> with_jobs 3
-        |> with_on_event (function
-             | Runner.Started _ -> Atomic.incr started
-             | Runner.Finished _ -> Atomic.incr finished
-             | _ -> ()))
+(* One code path: both job counts record the same runner.* spans and
+   metric series. *)
+let test_parallel_telemetry_matches_serial () =
+  let (_, spans1, series1), (_, spans2, series2) = Lazy.force large_runs in
+  let runner names =
+    List.sort_uniq compare
+      (List.filter (String.starts_with ~prefix:"runner.") names)
   in
-  Alcotest.(check int) "two rows" 2 (List.length rows);
-  Alcotest.(check int) "two started" 2 (Atomic.get started);
-  Alcotest.(check int) "two finished" 2 (Atomic.get finished)
+  Alcotest.(check (list string)) "runner.* spans" (runner spans1)
+    (runner spans2);
+  Alcotest.(check (list string)) "runner.* metric series" (runner series1)
+    (runner series2);
+  Alcotest.(check bool) "protect spans recorded" true
+    (List.mem "runner.protect" (runner spans2))
 
 let test_fig1_renders () =
   let s = Runner.fig1 () in
@@ -247,30 +274,6 @@ let test_sta_hybrid_uses_lut_cells () =
     (Sttc_analysis.Sta.critical_delay_ps hyb
     >= Sttc_analysis.Sta.critical_delay_ps base)
 
-(* Runner.Config's JSON codec carries the data fields (on_event has no
-   wire form); an empty object parses to the default. *)
-let test_runner_config_json_roundtrip () =
-  let module C = Runner.Config in
-  let config =
-    C.(
-      default |> with_quick true |> with_seed 7
-      |> with_only [ "s27"; "s641" ]
-      |> with_timeout_s 12.5 |> with_isolate true |> with_checkpoint "ck.bin"
-      |> with_jobs 4)
-  in
-  (match C.of_json (C.to_json config) with
-  | Ok c ->
-      let strip t = C.to_json t |> Sttc_obs.Json.to_string in
-      Alcotest.(check string) "round-trip" (strip config) (strip c)
-  | Error e -> Alcotest.fail e);
-  match C.of_json (Sttc_obs.Json.Obj []) with
-  | Ok c ->
-      Alcotest.(check string)
-        "empty object = default"
-        (Sttc_obs.Json.to_string (C.to_json C.default))
-        (Sttc_obs.Json.to_string (C.to_json c))
-  | Error e -> Alcotest.fail e
-
 let () =
   Alcotest.run "integration"
     [
@@ -297,12 +300,10 @@ let () =
       ( "experiments",
         [
           Alcotest.test_case "quick rows" `Slow test_runner_quick_rows;
-          Alcotest.test_case "config json roundtrip" `Quick
-            test_runner_config_json_roundtrip;
           Alcotest.test_case "parallel rows match serial" `Slow
             test_parallel_rows_match_serial;
-          Alcotest.test_case "parallel events complete" `Slow
-            test_parallel_events_complete;
+          Alcotest.test_case "parallel telemetry matches serial" `Slow
+            test_parallel_telemetry_matches_serial;
           Alcotest.test_case "fig1" `Quick test_fig1_renders;
           Alcotest.test_case "sweep" `Quick test_sweep_renders;
           Alcotest.test_case "attack campaign" `Slow test_attack_campaign_smoke;

@@ -24,7 +24,7 @@ dune build
 echo "== dune runtest"
 dune runtest
 
-echo "== dune build @fault (fault sweep + checkpoint/resume round-trip)"
+echo "== dune build @fault (fault sweep)"
 timeout 600 dune build @fault
 
 sttc() {
@@ -44,6 +44,18 @@ if ! diff -u "$tmpdir/table1.j1" "$tmpdir/table1.j2"; then
   echo "PARALLEL MISMATCH: sttc table1 --quick differs between -j 1 and -j 2" >&2
   exit 1
 fi
+
+echo "== pool gate (full sttc table1 and fig3 -j 2 must match -j 1 byte for byte)"
+# Only the full table is large enough for Runner.rows to take the pool
+# path (the quick set stays under Pool.worthwhile's threshold at any -j).
+for exp in table1 fig3; do
+  sttc "$exp" -j 1 > "$tmpdir/$exp.full.j1"
+  sttc "$exp" -j 2 > "$tmpdir/$exp.full.j2"
+  if ! diff -u "$tmpdir/$exp.full.j1" "$tmpdir/$exp.full.j2"; then
+    echo "POOL MISMATCH: full sttc $exp differs between -j 1 and -j 2" >&2
+    exit 1
+  fi
+done
 
 echo "== observability smoke (traced run must validate and leave the table unchanged)"
 sttc table1 --quick -j 2 --trace "$tmpdir/table1.trace.json" \
