@@ -1,22 +1,25 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Section V) on the structural ISCAS'89 twins, plus an
-   empirical attack campaign and Bechamel micro-benchmarks of the core
-   computations.
+(* Benchmark records: each section measures one property of the
+   implementation beyond the paper, checks its identity contract, and
+   writes a BENCH_<section>.json record through [record].  The paper's
+   tables and figures come from the sttc subcommands (sttc fig1, table1,
+   table2, fig3, attacks, sidechannel, baseline, ablation, faults), not
+   from here.
 
    Usage:
-     dune exec bench/main.exe              # everything
-     dune exec bench/main.exe -- fig1      # one experiment
-     dune exec bench/main.exe -- table1 table2 fig3 attacks faults micro
-     dune exec bench/main.exe -- quick table1   # small-benchmark subset
-     dune exec bench/main.exe -- -j 4 table1    # 4 worker domains
-     dune exec bench/main.exe -- parallel       # serial-vs-parallel record
-     dune exec bench/main.exe -- lint           # semantic-lint record
-     dune exec bench/main.exe -- --trace t.json --metrics m.json quick table1
-                                           # record observability output *)
+     dune exec bench/main.exe                  # every record
+     dune exec bench/main.exe -- sat serve     # chosen records
+     dune exec bench/main.exe -- -j 4 parallel # 4 worker domains
+     dune exec bench/main.exe -- --trace t.json --metrics m.json lint
+                                               # record observability output
 
+   Records: parallel sat lint campaign serve scale backend. *)
+
+module J = Sttc_obs.Json
 module Runner = Sttc_experiments.Runner
 module Flow = Sttc_core.Flow
 module Profiles = Sttc_netlist.Iscas_profiles
+
+let time = Sttc_util.Timing.time
 
 let protect_strict ?backend ~seed alg nl =
   (Flow.run ~seed ?backend ~policy:Flow.Strict alg nl).Flow.accepted
@@ -26,74 +29,53 @@ let section title =
     "\n==============================================\n%s\n==============================================\n%!"
     title
 
-let cached_rows = ref None
+(* The one writer of every BENCH_<name>.json: a shared envelope
+   (experiment, build, cores, seed), the section's own scalar fields,
+   then [rows] — flat objects, one field per line in the pretty-printed
+   file, which is what tools/bench_diff.sh scrapes. *)
+let record name ~experiment ~seed fields rows =
+  let file = "BENCH_" ^ name ^ ".json" in
+  Sttc_obs.Export.write_file file
+    (J.Obj
+       ([
+          ("experiment", J.String experiment);
+          ("build", J.Obj (Sttc_obs.Build_info.to_fields ()));
+          ("cores", J.Int (Sttc_util.Pool.default_jobs ()));
+          ("seed", J.Int seed);
+        ]
+       @ fields
+       @ [ ("rows", J.List (List.map (fun r -> J.Obj r) rows)) ]));
+  Printf.printf "  wrote %s\n" file
 
-let rows ~quick ~jobs () =
-  match !cached_rows with
-  | Some (q, rows) when q = quick -> rows
-  | _ ->
-      let r = Runner.rows Runner.Config.(default |> with_quick quick |> with_jobs jobs) in
-      cached_rows := Some (quick, r);
-      r
+(* An identity contract that failed: the record is already written (so
+   the evidence survives), the bench exits nonzero. *)
+let require ok msg =
+  if not ok then begin
+    Printf.printf "%s\n" msg;
+    exit 1
+  end
 
-let fig1 () =
-  section "Fig. 1 - STT-based LUT vs static CMOS (normalized to CMOS)";
-  print_string (Runner.fig1 ())
-
-let table1 ~quick ~jobs () =
-  section "Table I - performance / power / area overhead and #STT LUTs";
-  print_string (Runner.table1 (rows ~quick ~jobs ()))
-
-let table2 ~quick ~jobs () =
-  section "Table II - CPU time for gate selection (MM:SS.d)";
-  print_string (Runner.table2 (rows ~quick ~jobs ()))
-
-let fig3 ~quick ~jobs () =
-  section "Fig. 3 - required test clocks to determine the missing gates";
-  print_string (Runner.fig3 (rows ~quick ~jobs ()))
-
-let attacks ~jobs () =
-  section "Attack campaign (empirical; small circuits where attacks finish)";
-  print_string (Runner.attack_campaign ~jobs ())
-
-let sidechannel () =
-  section "Side-channel experiment: DPA difference-of-means, CMOS vs hybrid";
-  print_string (Runner.sidechannel ())
-
-let baselines () =
-  section "Baselines: camouflaging [12] and SRAM LUTs [8] vs STT LUTs";
-  print_string (Runner.baselines ())
-
-let faults ~jobs () =
-  section
-    "Fault injection: stochastic MTJ writes, provisioning yield and repair";
-  print_string (Runner.fault_sweep ~jobs ())
-
-let ablations () =
-  section "Ablation: parametric timing-constraint factor (s1196)";
-  print_string (Runner.ablation_parametric ());
-  section "Ablation: Section IV-A.3 hardening (dummy inputs / absorption)";
-  print_string (Runner.ablation_hardening ());
-  section "Ablation: Fig. 3 sensitivity to the alpha/P constants";
-  print_string (Runner.ablation_constants ())
+(* Sections whose figures come from the metrics registry, which records
+   only while observability is on: switch it on for [f] unless a
+   --metrics/--trace run already did. *)
+let with_metrics f =
+  if Sttc_obs.Control.enabled () then f ()
+  else begin
+    Sttc_obs.Control.enable ();
+    Fun.protect ~finally:Sttc_obs.Control.disable f
+  end
 
 (* ---------- serial vs parallel speedup record ---------- *)
 
 (* Times the full Table I fan-out at one worker and at [jobs] workers
    (the full set is the one large enough to take the pool path; the
-   quick set runs on [List.map] at any job count), checks the rows are
-   byte-identical (the Pool determinism contract), and leaves a
-   machine-readable record in BENCH_parallel.json. *)
+   quick set runs on [List.map] at any job count) and checks the rows
+   are byte-identical (the Pool determinism contract). *)
 let parallel ~jobs () =
   let jobs = if jobs > 1 then jobs else Sttc_util.Pool.default_jobs () in
   section
     (Printf.sprintf "Parallel speedup - full Table I rows, 1 vs %d workers"
        jobs);
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   let run j = Runner.rows Runner.Config.(default |> with_jobs j) in
   let serial_rows, serial_s = time (fun () -> run 1) in
   let par_rows, parallel_s = time (fun () -> run jobs) in
@@ -102,34 +84,28 @@ let parallel ~jobs () =
   Printf.printf
     "  serial %.2fs, %d workers %.2fs -> %.2fx; rows identical: %b\n" serial_s
     jobs parallel_s speedup identical;
-  Sttc_obs.Export.write_text "BENCH_parallel.json"
-    (Printf.sprintf
-       "{\n\
-       \  \"experiment\": \"table1-full\",\n\
-       \  \"jobs\": %d,\n\
-       \  \"serial_s\": %.3f,\n\
-       \  \"parallel_s\": %.3f,\n\
-       \  \"speedup\": %.3f,\n\
-       \  \"rows_identical\": %b\n\
-        }\n"
-       jobs serial_s parallel_s speedup identical);
-  Printf.printf "  wrote BENCH_parallel.json\n";
-  if not identical then begin
-    Printf.printf "parallel rows DIFFER from serial rows\n";
-    exit 1
-  end
+  record "parallel" ~experiment:"table1-full"
+    ~seed:Runner.Config.default.Runner.Config.seed
+    [
+      ("jobs", J.Int jobs);
+      ("speedup", J.Float speedup);
+      ("rows_identical", J.Bool identical);
+    ]
+    [
+      [ ("jobs", J.Int 1); ("seconds", J.Float serial_s) ];
+      [ ("jobs", J.Int jobs); ("seconds", J.Float parallel_s) ];
+    ];
+  require identical "parallel rows DIFFER from serial rows"
 
 (* ---------- incremental vs scratch SAT-attack record ---------- *)
 
 (* Runs the combinational SAT attack twice per benchmark x algorithm —
    once rebuilding a scratch solver every iteration (the pre-incremental
-   cost profile) and once on a single persistent solver — checks that
-   verdicts and recovered keys are identical, and leaves the speedup and
-   per-mode solver statistics in BENCH_sat.json. *)
+   cost profile) and once on a single persistent solver — and checks
+   that verdicts and recovered keys are identical. *)
 let sat_bench () =
   section "SAT attack - one persistent solver vs scratch per iteration";
   let module Sat_attack = Sttc_attack.Sat_attack in
-  let module Hybrid = Sttc_core.Hybrid in
   let gen name n_gates n_pi n_po levels =
     Sttc_netlist.Generator.generate ~seed:11
       {
@@ -157,26 +133,44 @@ let sat_bench () =
          (fun (id, t) -> Printf.sprintf "%d=%s" id (Sttc_logic.Truth.to_string t))
          bitstream)
   in
+  (* seconds, verdict, key, iterations, solver statistics *)
   let attack mode hybrid =
-    let t0 = Unix.gettimeofday () in
-    let outcome = Sat_attack.run ~timeout_s:120. ~mode hybrid in
-    let seconds = Unix.gettimeofday () -. t0 in
+    let outcome, seconds =
+      time (fun () -> Sat_attack.run ~timeout_s:120. ~mode hybrid)
+    in
     match outcome with
     | Sat_attack.Broken b ->
         (seconds, "broken", key_string b.bitstream, b.iterations, b.stats)
     | Sat_attack.Exhausted e ->
         (seconds, "exhausted:" ^ e.reason, "", e.iterations, e.stats)
   in
-  let rows =
+  let mode_fields prefix (seconds, verdict, _, iterations, (s : Sttc_logic.Sat.stats)) =
+    List.map
+      (fun (k, v) -> (prefix ^ "_" ^ k, v))
+      [
+        ("s", J.Float seconds);
+        ("verdict", J.String verdict);
+        ("iterations", J.Int iterations);
+        ("decisions", J.Int s.decisions);
+        ("propagations", J.Int s.propagations);
+        ("conflicts", J.Int s.conflicts);
+        ("learned", J.Int s.learned);
+        ("kept", J.Int s.kept);
+        ("removed", J.Int s.removed);
+        ("restarts", J.Int s.restarts);
+      ]
+  in
+  let results =
     List.concat_map
       (fun nl ->
+        let circuit = Sttc_netlist.Netlist.design_name nl in
         List.map
           (fun (alg_name, alg) ->
             let hybrid = (protect_strict ~seed:1 alg nl).Flow.hybrid in
-            let s_s, s_verdict, s_key, s_iters, s_stats =
+            let ((s_s, s_verdict, s_key, s_iters, _) as scratch) =
               attack Sat_attack.Scratch hybrid
             in
-            let i_s, i_verdict, i_key, i_iters, i_stats =
+            let ((i_s, i_verdict, i_key, i_iters, _) as incremental) =
               attack Sat_attack.Incremental hybrid
             in
             let identical = s_verdict = i_verdict && s_key = i_key in
@@ -184,77 +178,50 @@ let sat_bench () =
               "  %-8s %-12s scratch %6.2fs (%3d it)  incremental %6.2fs \
                (%3d it)  %5.2fx  %s %s\n\
                %!"
-              (Sttc_netlist.Netlist.design_name nl)
-              alg_name s_s s_iters i_s i_iters (s_s /. i_s) i_verdict
+              circuit alg_name s_s s_iters i_s i_iters (s_s /. i_s) i_verdict
               (if identical then "identical" else "MISMATCH");
-            ( Sttc_netlist.Netlist.design_name nl,
-              alg_name,
-              Sttc_core.Hybrid.lut_count hybrid,
-              (s_s, s_verdict, s_iters, s_stats),
-              (i_s, i_verdict, i_iters, i_stats),
-              identical ))
+            ( (s_s, i_s, identical),
+              [
+                ("circuit", J.String circuit);
+                ("algorithm", J.String alg_name);
+                ("luts", J.Int (Sttc_core.Hybrid.lut_count hybrid));
+              ]
+              @ mode_fields "scratch" scratch
+              @ mode_fields "incremental" incremental
+              @ [
+                  ("speedup", J.Float (s_s /. i_s));
+                  ("identical", J.Bool identical);
+                ] ))
           algorithms)
       circuits
   in
-  let total f = List.fold_left (fun acc r -> acc +. f r) 0. rows in
-  let scratch_total = total (fun (_, _, _, (s, _, _, _), _, _) -> s) in
-  let incr_total = total (fun (_, _, _, _, (s, _, _, _), _) -> s) in
+  let total f = List.fold_left (fun acc (t, _) -> acc +. f t) 0. results in
+  let scratch_total = total (fun (s, _, _) -> s) in
+  let incr_total = total (fun (_, i, _) -> i) in
   let speedup = scratch_total /. incr_total in
-  let all_identical = List.for_all (fun (_, _, _, _, _, id) -> id) rows in
+  let all_identical = List.for_all (fun ((_, _, id), _) -> id) results in
   Printf.printf
     "  total: scratch %.2fs, incremental %.2fs -> %.2fx; rows identical: %b\n"
     scratch_total incr_total speedup all_identical;
-  let stats_json (s : Sttc_logic.Sat.stats) =
-    Printf.sprintf
-      "{\"decisions\": %d, \"propagations\": %d, \"conflicts\": %d, \
-       \"learned\": %d, \"kept\": %d, \"removed\": %d, \"restarts\": %d}"
-      s.decisions s.propagations s.conflicts s.learned s.kept s.removed
-      s.restarts
-  in
-  let row_json
-      ( circuit,
-        alg,
-        luts,
-        (s_s, s_verdict, s_iters, s_stats),
-        (i_s, i_verdict, i_iters, i_stats),
-        identical ) =
-    Printf.sprintf
-      "    {\"circuit\": \"%s\", \"algorithm\": \"%s\", \"luts\": %d,\n\
-      \     \"scratch\": {\"seconds\": %.3f, \"verdict\": \"%s\", \
-       \"iterations\": %d, \"stats\": %s},\n\
-      \     \"incremental\": {\"seconds\": %.3f, \"verdict\": \"%s\", \
-       \"iterations\": %d, \"stats\": %s},\n\
-      \     \"speedup\": %.3f, \"identical\": %b}"
-      circuit alg luts s_s s_verdict s_iters (stats_json s_stats) i_s
-      i_verdict i_iters (stats_json i_stats) (s_s /. i_s) identical
-  in
-  Sttc_obs.Export.write_text "BENCH_sat.json"
-    (Printf.sprintf
-       "{\n\
-       \  \"experiment\": \"sat-attack-incremental\",\n\
-       \  \"scratch_total_s\": %.3f,\n\
-       \  \"incremental_total_s\": %.3f,\n\
-       \  \"speedup\": %.3f,\n\
-       \  \"rows_identical\": %b,\n\
-       \  \"rows\": [\n%s\n  ]\n\
-        }\n"
-       scratch_total incr_total speedup all_identical
-       (String.concat ",\n" (List.map row_json rows)));
-  Printf.printf "  wrote BENCH_sat.json\n";
-  if not all_identical then begin
-    Printf.printf "incremental verdicts/keys DIFFER from scratch baseline\n";
-    exit 1
-  end
+  record "sat" ~experiment:"sat-attack-incremental" ~seed:1
+    [
+      ("scratch_total_s", J.Float scratch_total);
+      ("incremental_total_s", J.Float incr_total);
+      ("speedup", J.Float speedup);
+      ("rows_identical", J.Bool all_identical);
+    ]
+    (List.map snd results);
+  require all_identical
+    "incremental verdicts/keys DIFFER from scratch baseline"
 
 (* ---------- semantic lint record ---------- *)
 
-(* Protects each ISCAS'89 profile with independent selection, runs the
-   full semantic (SEM) pack — the Eq. 1 prover included — on the foundry
-   view with the true bitstream, and records wall-clock, SAT query
-   counts and findings per profile in BENCH_lint.json. *)
+(* Protects each ISCAS'89 profile with independent selection and runs
+   the full semantic (SEM) pack — the Eq. 1 prover included — on the
+   foundry view with the true bitstream: wall-clock, SAT query counts
+   and findings per profile. *)
 let lint_bench () =
   section "Semantic lint - Eq. 1 prover across the ISCAS'89 profiles";
-  let module J = Sttc_obs.Json in
   let module Metrics = Sttc_obs.Metrics in
   let module D = Sttc_lint.Diagnostic in
   let module Sem = Sttc_lint.Semantic_rules in
@@ -280,70 +247,54 @@ let lint_bench () =
       Metrics.counter_value snap "lint.sem.cutoffs",
       conflicts )
   in
-  (* the prover reports its query counts through the metrics registry,
-     which records only while observability is on; switch it on for this
-     section unless a --metrics/--trace run already did *)
-  let was_enabled = Sttc_obs.Control.enabled () in
-  if not was_enabled then Sttc_obs.Control.enable ();
   let rows =
+    with_metrics @@ fun () ->
     List.map
       (fun name ->
         let nl = Profiles.build_by_name name in
         let r = protect_strict ~seed:1 (Flow.Independent { count = 5 }) nl in
         let h = r.Flow.hybrid in
         let q0, c0, k0 = counters (Metrics.snapshot ()) in
-        let t0 = Unix.gettimeofday () in
-        let ds =
-          Sem.run
-            (Sem.view
-               ~luts:(Sttc_core.Hybrid.lut_ids h)
-               ~configs:(Sttc_core.Hybrid.bitstream h)
-               (Sttc_core.Hybrid.foundry_view h))
+        let ds, seconds =
+          time (fun () ->
+              Sem.run
+                (Sem.view
+                   ~luts:(Sttc_core.Hybrid.lut_ids h)
+                   ~configs:(Sttc_core.Hybrid.bitstream h)
+                   (Sttc_core.Hybrid.foundry_view h)))
         in
-        let seconds = Unix.gettimeofday () -. t0 in
         let q1, c1, k1 = counters (Metrics.snapshot ()) in
         let errors = D.errors ds and total = List.length ds in
         Printf.printf
           "  %-8s %6.2fs  %5d queries  %3d cutoffs  %6d conflicts  %3d findings (%d errors)\n%!"
           name seconds (q1 - q0) (c1 - c0) (k1 - k0) total errors;
-        ( name,
-          J.Obj
-            [
-              ("benchmark", J.String name);
-              ("seconds", J.Float seconds);
-              ("queries", J.Int (q1 - q0));
-              ("cutoffs", J.Int (c1 - c0));
-              ("conflicts", J.Int (k1 - k0));
-              ("findings", J.Int total);
-              ("errors", J.Int errors);
-            ] ))
+        [
+          ("benchmark", J.String name);
+          ("seconds", J.Float seconds);
+          ("queries", J.Int (q1 - q0));
+          ("cutoffs", J.Int (c1 - c0));
+          ("conflicts", J.Int (k1 - k0));
+          ("findings", J.Int total);
+          ("errors", J.Int errors);
+        ])
       profiles
   in
-  if not was_enabled then Sttc_obs.Control.disable ();
-  let doc =
-    J.Obj
-      [
-        ("experiment", J.String "semantic-lint");
-        ("algorithm", J.String "independent");
-        ("seed", J.Int 1);
-        ("rows", J.List (List.map snd rows));
-      ]
-  in
-  Sttc_obs.Export.write_file "BENCH_lint.json" doc;
-  Printf.printf "  wrote BENCH_lint.json\n"
+  record "lint" ~experiment:"semantic-lint" ~seed:1
+    [ ("algorithm", J.String "independent") ]
+    rows
 
 (* ---------- campaign engine record ---------- *)
 
 (* Runs a small 2-shard campaign twice — once clean, once with a worker
    SIGKILLed mid-shard and then resumed — asserts the two aggregated
    reports are byte-identical (the crash-tolerance contract), and
-   records throughput plus the supervision counters in
-   BENCH_campaign.json. *)
+   records throughput plus the supervision counters. *)
 let campaign_bench () =
   section "Campaign engine - supervised shards, kill + resume";
   let module C = Sttc_campaign in
+  let seed = 1 in
   let manifest =
-    C.Manifest.make ~name:"bench" ~circuits:[ "s27" ] ~seeds:[ 1; 2 ]
+    C.Manifest.make ~name:"bench" ~circuits:[ "s27" ] ~seeds:[ seed; seed + 1 ]
       ~shards:2 ~retries:1 ()
   in
   let total_runs = C.Manifest.run_count manifest in
@@ -387,16 +338,9 @@ let campaign_bench () =
     (match C.Aggregate.write ~dir (C.Aggregate.collect ~degraded ~dir manifest)
      with
     | Ok () -> ()
-    | Error e ->
-        Printf.printf "campaign report validation failed: %s\n" e;
-        exit 1);
+    | Error e -> require false ("campaign report validation failed: " ^ e));
     In_channel.with_open_bin (C.Shard.report_json_path dir)
       In_channel.input_all
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
   in
   (* pass 1: uninterrupted *)
   let clean_dir = fresh_dir "clean" in
@@ -417,35 +361,24 @@ let campaign_bench () =
     total_runs
     (if spawned then "" else " (in-process fallback)")
     clean_s resume_s first.C.Supervisor.degraded identical;
-  Sttc_obs.Export.write_text "BENCH_campaign.json"
-    (Printf.sprintf
-       "{\n\
-       \  \"experiment\": \"campaign-kill-resume\",\n\
-       \  \"runs\": %d,\n\
-       \  \"shards\": %d,\n\
-       \  \"spawned_workers\": %b,\n\
-       \  \"clean_s\": %.3f,\n\
-       \  \"resume_s\": %.3f,\n\
-       \  \"runs_per_s\": %.3f,\n\
-       \  \"first_pass_degraded\": %d,\n\
-       \  \"retries\": %d,\n\
-       \  \"respawns\": %d,\n\
-       \  \"heartbeat_misses\": %d,\n\
-       \  \"reports_identical\": %b\n\
-        }\n"
-       total_runs manifest.C.Manifest.shards spawned clean_s resume_s
-       (float_of_int total_runs /. Float.max 1e-9 clean_s)
-       first.C.Supervisor.degraded
-       (first.C.Supervisor.retries + resumed.C.Supervisor.retries)
-       (first.C.Supervisor.respawns + resumed.C.Supervisor.respawns)
-       (first.C.Supervisor.heartbeat_misses
-       + resumed.C.Supervisor.heartbeat_misses)
-       identical);
-  Printf.printf "  wrote BENCH_campaign.json\n";
-  if not identical then begin
-    Printf.printf "killed+resumed report DIFFERS from the clean report\n";
-    exit 1
-  end
+  let both f = f first + f resumed in
+  record "campaign" ~experiment:"campaign-kill-resume" ~seed
+    [
+      ("runs", J.Int total_runs);
+      ("shards", J.Int manifest.C.Manifest.shards);
+      ("spawned_workers", J.Bool spawned);
+      ("runs_per_s", J.Float (float_of_int total_runs /. Float.max 1e-9 clean_s));
+      ("first_pass_degraded", J.Int first.C.Supervisor.degraded);
+      ("retries", J.Int (both (fun o -> o.C.Supervisor.retries)));
+      ("respawns", J.Int (both (fun o -> o.C.Supervisor.respawns)));
+      ("heartbeat_misses", J.Int (both (fun o -> o.C.Supervisor.heartbeat_misses)));
+      ("reports_identical", J.Bool identical);
+    ]
+    [
+      [ ("pass", J.String "clean"); ("seconds", J.Float clean_s) ];
+      [ ("pass", J.String "kill-resume"); ("seconds", J.Float resume_s) ];
+    ];
+  require identical "killed+resumed report DIFFERS from the clean report"
 
 (* ---------- serve daemon load record ---------- *)
 
@@ -453,12 +386,12 @@ let campaign_bench () =
    the netlist cache disabled (every request re-parses and re-warms its
    netlist) and once with it enabled — fires the same mixed request
    stream at it from concurrent client domains, and records p50/p95/p99
-   latency plus sustained req/s per pass in BENCH_serve.json.  The
-   warm-cache p50 sitting measurably below the cold one is the point of
-   a persistent daemon. *)
+   latency plus sustained req/s per pass.  The warm-cache p50 sitting
+   measurably below the cold one is the point of a persistent daemon. *)
 let serve_bench ~jobs () =
   section "Serve daemon - cold vs warm netlist cache over the Unix socket";
   let module Serve = Sttc_serve in
+  let seed = 1 in
   let workers = max 2 jobs in
   let n_clients = 4 and per_client = 250 in
   (* the cache-sensitive request: lint an inline netlist big enough that
@@ -483,7 +416,7 @@ let serve_bench ~jobs () =
            source = Serve.Request.Inline { name = "srv40"; text };
            algorithms = [];
            semantic = false;
-           seed = 1;
+           seed;
            fraction = None;
            budget = None;
            rules = [];
@@ -498,7 +431,7 @@ let serve_bench ~jobs () =
            source = Serve.Request.Named "s27";
            algorithm = Flow.Independent { count = 3 };
            config = Sttc_campaign.Manifest.default_config;
-           seed = 1;
+           seed;
            backend = "stt";
            sign_off = false;
            emit_foundry = false;
@@ -539,7 +472,6 @@ let serve_bench ~jobs () =
       end
     in
     await 250;
-    let t0 = Unix.gettimeofday () in
     let client c =
       Serve.Client.with_connection socket (fun conn ->
           let lats = Array.make per_client 0. in
@@ -547,20 +479,21 @@ let serve_bench ~jobs () =
             if i = per_client then Ok lats
             else
               let r = mix.((c + i) mod Array.length mix) in
-              let u0 = Unix.gettimeofday () in
-              match Serve.Client.request conn r with
-              | Ok (Serve.Response.Ok _) ->
-                  lats.(i) <- (Unix.gettimeofday () -. u0) *. 1000.;
+              match time (fun () -> Serve.Client.request conn r) with
+              | Ok (Serve.Response.Ok _), seconds ->
+                  lats.(i) <- seconds *. 1000.;
                   go (i + 1)
-              | Ok (Serve.Response.Error { message; _ }) -> Error message
-              | Ok (Serve.Response.Overloaded _) -> Error "overloaded"
-              | Error _ as e -> e
+              | Ok (Serve.Response.Error { message; _ }), _ -> Error message
+              | Ok (Serve.Response.Overloaded _), _ -> Error "overloaded"
+              | (Error _ as e), _ -> e
           in
           go 0)
     in
-    let domains = List.init n_clients (fun c -> Domain.spawn (fun () -> client c)) in
-    let results = List.map Domain.join domains in
-    let wall = Unix.gettimeofday () -. t0 in
+    let results, wall =
+      time (fun () ->
+          List.init n_clients (fun c -> Domain.spawn (fun () -> client c))
+          |> List.map Domain.join)
+    in
     (match
        Serve.Client.with_connection socket (fun conn ->
            Serve.Client.request conn (req Serve.Request.Shutdown))
@@ -587,95 +520,28 @@ let serve_bench ~jobs () =
        %.3fms  p99 %.3fms\n\
        %!"
       tag total wall rps p50 p95 p99;
-    (rps, p50, p95, p99)
+    ( p50,
+      [
+        ("cache", J.String tag);
+        ("req_per_s", J.Float rps);
+        ("p50_ms", J.Float p50);
+        ("p95_ms", J.Float p95);
+        ("p99_ms", J.Float p99);
+      ] )
   in
-  let cold_rps, cold_p50, cold_p95, cold_p99 = pass ~tag:"cold" ~cache_capacity:0 in
-  let warm_rps, warm_p50, warm_p95, warm_p99 = pass ~tag:"warm" ~cache_capacity:32 in
+  let cold_p50, cold = pass ~tag:"cold" ~cache_capacity:0 in
+  let warm_p50, warm = pass ~tag:"warm" ~cache_capacity:32 in
   let faster = warm_p50 < cold_p50 in
   Printf.printf "  warm p50 below cold p50: %b\n" faster;
-  Sttc_obs.Export.write_text "BENCH_serve.json"
-    (Printf.sprintf
-       "{\n\
-       \  \"experiment\": \"serve-load\",\n\
-       \  \"workers\": %d,\n\
-       \  \"clients\": %d,\n\
-       \  \"requests_per_client\": %d,\n\
-       \  \"cold\": {\"req_per_s\": %.1f, \"p50_ms\": %.4f, \"p95_ms\": \
-        %.4f, \"p99_ms\": %.4f},\n\
-       \  \"warm\": {\"req_per_s\": %.1f, \"p50_ms\": %.4f, \"p95_ms\": \
-        %.4f, \"p99_ms\": %.4f},\n\
-       \  \"warm_p50_below_cold\": %b\n\
-        }\n"
-       workers n_clients per_client cold_rps cold_p50 cold_p95 cold_p99
-       warm_rps warm_p50 warm_p95 warm_p99 faster);
-  Printf.printf "  wrote BENCH_serve.json\n";
-  if not faster then begin
-    Printf.printf "warm-cache p50 is NOT below cold-cache p50\n";
-    exit 1
-  end
-
-(* ---------- Bechamel micro-benchmarks ---------- *)
-
-let micro () =
-  section "Bechamel micro-benchmarks (core computations per table)";
-  let open Bechamel in
-  let nl = Profiles.build_by_name "s1196" in
-  let lib = Sttc_tech.Library.cmos90 in
-  let tests =
+  record "serve" ~experiment:"serve-load" ~seed
     [
-      (* Fig. 1: the technology model *)
-      Test.make ~name:"fig1/stt-lut-model"
-        (Staged.stage (fun () ->
-             List.iter
-               (fun (row : Sttc_tech.Stt_lib.fig1_row) ->
-                 ignore
-                   (Sttc_tech.Stt_lib.fig1_model row.Sttc_tech.Stt_lib.gate))
-               Sttc_tech.Stt_lib.fig1_reference));
-      (* Table I: the three selection algorithms end to end on s1196 *)
-      Test.make ~name:"table1/independent-s1196"
-        (Staged.stage (fun () ->
-             ignore (protect_strict ~seed:1 (Flow.Independent { count = 5 }) nl)));
-      Test.make ~name:"table1/dependent-s1196"
-        (Staged.stage (fun () ->
-             ignore (protect_strict ~seed:1 Flow.Dependent nl)));
-      Test.make ~name:"table1/parametric-s1196"
-        (Staged.stage (fun () ->
-             ignore
-               (protect_strict ~seed:1
-                  (Flow.Parametric Sttc_core.Algorithms.default_parametric)
-                  nl)));
-      (* Table II's underlying primitives *)
-      Test.make ~name:"table2/sta-s1196"
-        (Staged.stage (fun () -> ignore (Sttc_analysis.Sta.analyze lib nl)));
-      Test.make ~name:"table2/power-s1196"
-        (Staged.stage (fun () -> ignore (Sttc_analysis.Power.estimate lib nl)));
-      (* Fig. 3: the security equations *)
-      Test.make ~name:"fig3/security-eval"
-        (Staged.stage
-           (let hybrid =
-              (protect_strict ~seed:1 Flow.Dependent nl).Flow.hybrid
-            in
-            let foundry = Sttc_core.Hybrid.foundry_view hybrid in
-            let luts = Sttc_core.Hybrid.lut_ids hybrid in
-            fun () -> ignore (Sttc_core.Security.evaluate foundry ~luts)));
+      ("workers", J.Int workers);
+      ("clients", J.Int n_clients);
+      ("requests_per_client", J.Int per_client);
+      ("warm_p50_below_cold", J.Bool faster);
     ]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.5) () in
-  List.iter
-    (fun test ->
-      let raw = Benchmark.all cfg [ instance ] test in
-      let ols =
-        Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-      in
-      let tbl = Analyze.all ols instance raw in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some (est :: _) -> Printf.printf "  %-32s %14.1f ns/run\n" name est
-          | Some [] | None -> Printf.printf "  %-32s (no estimate)\n" name)
-        tbl)
-    tests
+    [ cold; warm ];
+  require faster "warm-cache p50 is NOT below cold-cache p50"
 
 (* ---------- scale families: incremental timing record ---------- *)
 
@@ -686,12 +552,11 @@ let micro () =
    are checked byte-identical.  The per-candidate cost is also measured
    directly — K speculative gate->LUT evaluations through Sta.trial
    against K from-scratch analyses of the same modified netlists, with
-   the delays asserted equal — and everything lands in BENCH_scale.json.
-   Override the size list with STTC_SCALE_SIZES=1000,10000 for a quick
-   pass (tools/bench_diff.sh does). *)
+   the delays asserted equal.  Override the size list with
+   STTC_SCALE_SIZES=1000,10000 for a quick pass (tools/bench_diff.sh
+   and tools/ci.sh do). *)
 let scale_bench () =
   section "Scale families - incremental timing vs full re-analysis";
-  let module J = Sttc_obs.Json in
   let module Metrics = Sttc_obs.Metrics in
   let module Gen = Sttc_netlist.Generator in
   let module Netlist = Sttc_netlist.Netlist in
@@ -720,17 +585,10 @@ let scale_bench () =
   (* a tight clock budget keeps the repair loop busy, which is exactly
      the hot path the incremental engine exists for; n_paths keeps the
      paper default (gates/1500), so candidate counts grow with size *)
+  let clock_factor = 1.02 in
   let algorithm =
     Flow.Parametric
-      {
-        Sttc_core.Algorithms.default_parametric with
-        Sttc_core.Algorithms.clock_factor = 1.02;
-      }
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
+      { Sttc_core.Algorithms.default_parametric with Sttc_core.Algorithms.clock_factor }
   in
   let peak_rss_kb () =
     (* VmHWM of /proc/self/status — the process high-water mark, hence
@@ -800,20 +658,15 @@ let scale_bench () =
                    (Transform.replace_many ~keep_function:false nl [ g ])))
             picks)
     in
-    if trial_delays <> full_delays then begin
-      Printf.printf "trial delays DIFFER from from-scratch delays\n";
-      exit 1
-    end;
+    require (trial_delays = full_delays)
+      "trial delays DIFFER from from-scratch delays";
     let cone_mean =
       if c1 > c0 then (s1 -. s0) /. float_of_int (c1 - c0) else 0.
     in
     (full_s /. trial_s, cone_mean)
   in
-  (* the trial engine reports cone sizes through the metrics registry,
-     which records only while observability is on *)
-  let was_enabled = Sttc_obs.Control.enabled () in
-  if not was_enabled then Sttc_obs.Control.enable ();
   let rows =
+    with_metrics @@ fun () ->
     List.map
       (fun gates ->
         let nl, gen_s = time (fun () -> Gen.generate_family ~seed:7 ~gates ()) in
@@ -831,12 +684,11 @@ let scale_bench () =
               time (fun () -> protect_strict ~seed:1 algorithm nl)
             in
             Unix.putenv "STTC_FULL_STA" "";
-            if hybrid_fingerprint inc_r <> hybrid_fingerprint full_r then begin
-              Printf.printf
-                "incremental hybrid DIFFERS from full-mode hybrid at %d gates\n"
-                gates;
-              exit 1
-            end;
+            require
+              (hybrid_fingerprint inc_r = hybrid_fingerprint full_r)
+              (Printf.sprintf
+                 "incremental hybrid DIFFERS from full-mode hybrid at %d gates"
+                 gates);
             Some full_s
           end
         in
@@ -852,38 +704,29 @@ let scale_bench () =
                 (f /. protect_s)
           | None -> "full    --     (skipped)      ")
           eval_speedup cone_mean (rss_kb / 1024);
-        J.Obj
-          [
-            ("gates", J.Int gates);
-            ("nodes", J.Int nodes);
-            ("profile", J.String (Gen.profile_name Gen.Slike));
-            ("gen_s", J.Float gen_s);
-            ("full_sta_s", J.Float full_sta_s);
-            ("protect_s", J.Float protect_s);
-            ( "protect_full_s",
-              match protect_full_s with Some f -> J.Float f | None -> J.Null );
-            ( "protect_speedup",
-              match protect_full_s with
-              | Some f -> J.Float (f /. protect_s)
-              | None -> J.Null );
-            ("trial_eval_speedup", J.Float eval_speedup);
-            ("trial_cone_nodes_mean", J.Float cone_mean);
-            ("peak_rss_kb", J.Int rss_kb);
-          ])
+        let opt f = Option.fold ~none:J.Null ~some:(fun v -> J.Float (f v)) in
+        [
+          ("gates", J.Int gates);
+          ("nodes", J.Int nodes);
+          ("profile", J.String (Gen.profile_name Gen.Slike));
+          ("gen_s", J.Float gen_s);
+          ("full_sta_s", J.Float full_sta_s);
+          ("protect_s", J.Float protect_s);
+          ("protect_full_s", opt Fun.id protect_full_s);
+          ("protect_speedup", opt (fun f -> f /. protect_s) protect_full_s);
+          ("trial_eval_speedup", J.Float eval_speedup);
+          ("trial_cone_nodes_mean", J.Float cone_mean);
+          ("peak_rss_kb", J.Int rss_kb);
+        ])
       sizes
   in
-  if not was_enabled then Sttc_obs.Control.disable ();
-  Sttc_obs.Export.write_file "BENCH_scale.json"
-    (J.Obj
-       [
-         ("experiment", J.String "scale-incremental-timing");
-         ("profile", J.String (Gen.profile_name Gen.Slike));
-         ("seed", J.Int 1);
-         ("clock_factor", J.Float 1.02);
-         ("full_protect_ceiling", J.Int full_protect_ceiling);
-         ("rows", J.List rows);
-       ]);
-  Printf.printf "  wrote BENCH_scale.json\n"
+  record "scale" ~experiment:"scale-incremental-timing" ~seed:1
+    [
+      ("profile", J.String (Gen.profile_name Gen.Slike));
+      ("clock_factor", J.Float clock_factor);
+      ("full_protect_ceiling", J.Int full_protect_ceiling);
+    ]
+    rows
 
 (* ---------- cross-technology backend record ---------- *)
 
@@ -892,21 +735,15 @@ let scale_bench () =
    identical across technologies — pricing differs, the flow's choices
    must not — then runs the combinational SAT attack under each
    backend's attacker model (TVD keys constrained to the known candidate
-   family) and records overhead, keyspace and attack cost side by side
-   in BENCH_backend.json. *)
+   family) and records overhead, keyspace and attack cost side by side. *)
 let backend_bench () =
   section "Protection backends - STT-MRAM LUTs vs TVD camouflaged cells";
-  let module J = Sttc_obs.Json in
   let module Backend = Sttc_backend.Backend in
   let module Hybrid = Sttc_core.Hybrid in
   let module Netlist = Sttc_netlist.Netlist in
   let module Sat_attack = Sttc_attack.Sat_attack in
   let circuits = [ "s27"; "c17"; "s641"; "s1196" ] in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
+  let sat_timeout_s = 60. in
   let rows =
     List.concat_map
       (fun name ->
@@ -928,11 +765,11 @@ let backend_bench () =
         let selections =
           List.map (fun (_, r, _) -> Hybrid.lut_ids r.Flow.hybrid) per_backend
         in
-        (match selections with
-        | first :: rest when List.for_all (( = ) first) rest -> ()
-        | _ ->
-            Printf.printf "backend selections DIFFER on %s\n" name;
-            exit 1);
+        require
+          (match selections with
+          | first :: rest -> List.for_all (( = ) first) rest
+          | [] -> false)
+          ("backend selections DIFFER on " ^ name);
         List.map
           (fun (backend, (r : Flow.result), protect_s) ->
             let hybrid = r.Flow.hybrid in
@@ -950,7 +787,7 @@ let backend_bench () =
               Backend.sat_candidates backend foundry (Hybrid.lut_ids hybrid)
             in
             let outcome, attack_s =
-              time (fun () -> Sat_attack.run ~timeout_s:60. ~candidates hybrid)
+              time (fun () -> Sat_attack.run ~timeout_s:sat_timeout_s ~candidates hybrid)
             in
             let verdict, iterations, queries =
               match outcome with
@@ -967,43 +804,34 @@ let backend_bench () =
               o.Sttc_core.Ppa.area_pct
               (Sttc_util.Lognum.log10 keyspace)
               verdict attack_s iterations;
-            J.Obj
-              [
-                ("circuit", J.String name);
-                ("backend", J.String (Backend.name backend));
-                ("luts", J.Int (Hybrid.lut_count hybrid));
-                ("protect_s", J.Float protect_s);
-                ("performance_pct", J.Float o.Sttc_core.Ppa.performance_pct);
-                ("power_pct", J.Float o.Sttc_core.Ppa.power_pct);
-                ("area_pct", J.Float o.Sttc_core.Ppa.area_pct);
-                ("keyspace_log10", J.Float (Sttc_util.Lognum.log10 keyspace));
-                ("sat_verdict", J.String verdict);
-                ("sat_s", J.Float attack_s);
-                ("sat_iterations", J.Int iterations);
-                ("sat_queries", J.Int queries);
-              ])
+            [
+              ("circuit", J.String name);
+              ("backend", J.String (Backend.name backend));
+              ("luts", J.Int (Hybrid.lut_count hybrid));
+              ("protect_s", J.Float protect_s);
+              ("performance_pct", J.Float o.Sttc_core.Ppa.performance_pct);
+              ("power_pct", J.Float o.Sttc_core.Ppa.power_pct);
+              ("area_pct", J.Float o.Sttc_core.Ppa.area_pct);
+              ("keyspace_log10", J.Float (Sttc_util.Lognum.log10 keyspace));
+              ("sat_verdict", J.String verdict);
+              ("sat_s", J.Float attack_s);
+              ("sat_iterations", J.Int iterations);
+              ("sat_queries", J.Int queries);
+            ])
           per_backend)
       circuits
   in
-  Sttc_obs.Export.write_file "BENCH_backend.json"
-    (J.Obj
-       [
-         ("experiment", J.String "protection-backends");
-         ("algorithm", J.String "independent");
-         ("seed", J.Int 1);
-         ("sat_timeout_s", J.Float 60.);
-         ("rows", J.List rows);
-       ]);
-  Printf.printf "  wrote BENCH_backend.json\n"
+  record "backend" ~experiment:"protection-backends" ~seed:1
+    [
+      ("algorithm", J.String "independent");
+      ("sat_timeout_s", J.Float sat_timeout_s);
+    ]
+    rows
 
 (* ---------- driver ---------- *)
 
 let sections =
-  [
-    "fig1"; "table1"; "table2"; "fig3"; "attacks"; "sidechannel"; "baseline";
-    "ablation"; "faults"; "parallel"; "sat"; "lint"; "campaign"; "serve";
-    "micro"; "scale"; "backend";
-  ]
+  [ "parallel"; "sat"; "lint"; "campaign"; "serve"; "scale"; "backend" ]
 
 (* argument mistakes exit with the same sysexits EX_USAGE code 64 the
    sttc CLI uses for its typed usage errors *)
@@ -1011,8 +839,7 @@ let usage_fail msg =
   prerr_endline ("bench: " ^ msg);
   prerr_endline
     (Printf.sprintf
-       "usage: main.exe [-j N] [--trace FILE] [--metrics FILE] [quick] \
-        [%s]..."
+       "usage: main.exe [-j N] [--trace FILE] [--metrics FILE] [%s]..."
        (String.concat "|" sections));
   exit 64
 
@@ -1049,31 +876,18 @@ let () =
   let jobs =
     if !jobs <= 0 then Sttc_util.Pool.default_jobs () else !jobs
   in
-  let quick = List.mem "quick" args in
-  let args = List.filter (fun a -> a <> "quick") args in
   (match
      List.find_opt (fun a -> not (List.mem a sections)) args
    with
   | Some unknown -> usage_fail ("unknown experiment '" ^ unknown ^ "'")
   | None -> ());
-  let all = args = [] in
-  let want name = all || List.mem name args in
+  let want name = args = [] || List.mem name args in
   Sttc_obs.Obs.with_run ?trace:!trace ?metrics:!metrics @@ fun () ->
-  if want "fig1" then fig1 ();
-  if want "table1" then table1 ~quick ~jobs ();
-  if want "table2" then table2 ~quick ~jobs ();
-  if want "fig3" then fig3 ~quick ~jobs ();
-  if want "attacks" then attacks ~jobs ();
-  if want "sidechannel" then sidechannel ();
-  if want "baseline" then baselines ();
-  if want "ablation" then ablations ();
-  if want "faults" then faults ~jobs ();
   if want "parallel" then parallel ~jobs ();
   if want "sat" then sat_bench ();
   if want "lint" then lint_bench ();
   if want "campaign" then campaign_bench ();
   if want "serve" then serve_bench ~jobs ();
-  if want "micro" then micro ();
   if want "scale" then scale_bench ();
   if want "backend" then backend_bench ();
   Printf.printf "\nbench: done\n"

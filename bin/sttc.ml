@@ -5,7 +5,12 @@
      stats     print netlist statistics, timing, power and area
      protect   run the security-driven flow on a netlist
      attack    protect a netlist and run the attack campaign against it
-     fig1 / table1 / table2 / fig3   regenerate the paper's experiments *)
+     fig1 / table1 / table2 / fig3   regenerate the paper's experiments
+     attacks / sidechannel / baseline / ablation / faults
+               the beyond-paper tables
+
+   Every paper and beyond-paper table comes from here; bench/main.exe
+   only writes the BENCH_*.json records. *)
 
 open Cmdliner
 
@@ -765,6 +770,19 @@ let fig3_cmd =
   experiment_cmd "fig3" "Required test clocks (paper Fig. 3)."
     Sttc_experiments.Runner.fig3
 
+let attacks_cmd =
+  Cmd.v
+    (Cmd.info "attacks"
+       ~doc:
+         "Empirical attack campaign on small circuits where the attacks \
+          finish (beyond the paper).")
+    Term.(
+      const (fun jobs ->
+          print_string
+            (Sttc_experiments.Runner.attack_campaign ~jobs:(resolve_jobs jobs) ());
+          0)
+      $ jobs_arg)
+
 let string_cmd name doc render =
   Cmd.v (Cmd.info name ~doc)
     Term.(
@@ -1270,6 +1288,7 @@ let () =
             table1_cmd;
             table2_cmd;
             fig3_cmd;
+            attacks_cmd;
             sidechannel_cmd;
             baseline_cmd;
             ablation_cmd;

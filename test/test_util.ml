@@ -249,6 +249,10 @@ let test_timing_format () =
   Alcotest.(check string) "zero" "00:00.0" (Timing.format_min_sec 0.);
   Alcotest.(check string) "75.5s" "01:15.5" (Timing.format_min_sec 75.5);
   Alcotest.(check string) "44s" "00:44.0" (Timing.format_min_sec 44.0);
+  Alcotest.(check string) "59.95s carries" "01:00.0"
+    (Timing.format_min_sec 59.95);
+  Alcotest.(check string) "119.99s carries" "02:00.0"
+    (Timing.format_min_sec 119.99);
   Alcotest.check_raises "negative"
     (Invalid_argument "Timing.format_min_sec: negative") (fun () ->
       ignore (Timing.format_min_sec (-1.)))

@@ -1,6 +1,6 @@
 #!/bin/sh
-# Guard committed bench numbers: re-run a bench section and compare its
-# wall-clock figures against the committed BENCH_<name>.json, flagging
+# Guard committed bench numbers: re-run a bench record and compare its
+# per-row figures against the committed BENCH_<name>.json, flagging
 # regressions beyond the tolerance.
 #
 #   tools/bench_diff.sh                      # scale, quick subset: 1e3 and 1e4
@@ -25,6 +25,8 @@ ARG="${2:-}"
 case "$BENCH" in
   *[0-9]*) ARG="$BENCH"; BENCH=scale ;;
 esac
+# only the scale record reads this
+export STTC_SCALE_SIZES="${ARG:-1000,10000}"
 
 dune build bench/main.exe
 BENCH_BIN="$PWD/_build/default/bench/main.exe"
@@ -34,34 +36,26 @@ trap 'rm -rf "$workdir"' EXIT
 
 status=0
 
-# The bench JSON files are emitted one field per line, so line-oriented
-# scrapes are reliable.  Each rows_* function prints "key value" pairs.
-
-scale_rows() {
-  awk -F'[:,]' '
-    /"gates"/     { gsub(/ /, "", $2); gates = $2 }
-    /"protect_s"/ { gsub(/ /, "", $2); print gates "/protect_s", $2 }
-  ' "$1"
-}
-
-backend_rows() {
-  awk -F'[:,]' '
-    /"circuit"/   { gsub(/[" ]/, "", $2); circuit = $2 }
-    /"backend"/   { gsub(/[" ]/, "", $2); backend = $2 }
-    /"protect_s"/ { gsub(/ /, "", $2); print circuit "/" backend "/protect_s", $2 }
-    /"sat_s"/     { gsub(/ /, "", $2); print circuit "/" backend "/sat_s", $2 }
-  ' "$1"
-}
-
-serve_rows() {
-  awk -F'"' '
-    /"req_per_s"/ {
-      rest = $0
-      sub(/.*"req_per_s": */, "", rest)
-      sub(/[,}].*/, "", rest)
-      print $2 "/req_per_s", rest
-    }
-  ' "$1"
+# rows <file> <metric> <key-field>...
+# Every record is pretty-printed one field per line, with each row's key
+# fields ahead of its metrics, so one line-oriented scrape reads them
+# all: it prints "<key>/.../<metric> <value>" for every row.
+rows() {
+  rows_src=$1
+  rows_metric=$2
+  shift 2
+  awk -v metric="$rows_metric" -v keys="$*" '
+    BEGIN { n = split(keys, key, " ") }
+    match($0, /^ *"[^"]*": /) {
+      name = substr($0, RSTART, RLENGTH); gsub(/[ ":]/, "", name)
+      value = substr($0, RSTART + RLENGTH); gsub(/[",]/, "", value)
+      for (i = 1; i <= n; i++) if (name == key[i]) seen[i] = value
+      if (name == metric) {
+        label = ""
+        for (i = 1; i <= n; i++) label = label seen[i] "/"
+        print label metric, value
+      }
+    }' "$rows_src"
 }
 
 # compare <label> <committed.rows> <fresh.rows> <direction>
@@ -92,11 +86,12 @@ compare() {
   done < "$fresh_f"
 }
 
-# run_one <name> <rows-fn> <direction> [section-banner]
-run_one() {
+# run_bench <name> <direction> <metrics> <key-field>...
+run_bench() {
   name=$1
-  rows_fn=$2
-  dir=$3
+  dir=$2
+  metrics=$3
+  shift 3
   file="BENCH_$name.json"
   if ! [ -f "$file" ]; then
     echo "bench_diff: no committed $file to compare against" >&2
@@ -105,30 +100,18 @@ run_one() {
   fi
   echo "== fresh $name bench"
   (cd "$workdir" && "$BENCH_BIN" "$name")
-  "$rows_fn" "$file" > "$workdir/$name.committed"
-  "$rows_fn" "$workdir/$file" > "$workdir/$name.fresh"
-  compare "$name" "$workdir/$name.committed" "$workdir/$name.fresh" "$dir"
+  for metric in $metrics; do
+    rows "$file" "$metric" "$@" > "$workdir/$name.committed"
+    rows "$workdir/$file" "$metric" "$@" > "$workdir/$name.fresh"
+    compare "$name" "$workdir/$name.committed" "$workdir/$name.fresh" "$dir"
+  done
 }
 
-run_scale() {
-  sizes="${ARG:-1000,10000}"
-  if ! [ -f BENCH_scale.json ]; then
-    echo "bench_diff: no committed BENCH_scale.json to compare against" >&2
-    status=1
-    return
-  fi
-  echo "== fresh scale sweep (sizes: $sizes)"
-  (cd "$workdir" && STTC_SCALE_SIZES="$sizes" "$BENCH_BIN" scale)
-  scale_rows BENCH_scale.json > "$workdir/scale.committed"
-  scale_rows "$workdir/BENCH_scale.json" > "$workdir/scale.fresh"
-  compare scale "$workdir/scale.committed" "$workdir/scale.fresh" higher-bad
-}
-
-run_bench() {
+guard() {
   case "$1" in
-    scale)   run_scale ;;
-    backend) run_one backend backend_rows higher-bad ;;
-    serve)   run_one serve serve_rows lower-bad ;;
+    scale)   run_bench scale higher-bad protect_s gates ;;
+    backend) run_bench backend higher-bad "protect_s sat_s" circuit backend ;;
+    serve)   run_bench serve lower-bad req_per_s cache ;;
     *)
       echo "bench_diff: unknown bench '$1' (expected scale, backend, serve or all)" >&2
       exit 2
@@ -138,10 +121,10 @@ run_bench() {
 
 if [ "$BENCH" = all ]; then
   for b in scale backend serve; do
-    [ -f "BENCH_$b.json" ] && run_bench "$b"
+    [ -f "BENCH_$b.json" ] && guard "$b"
   done
 else
-  run_bench "$BENCH"
+  guard "$BENCH"
 fi
 
 if [ "$status" -ne 0 ]; then

@@ -360,6 +360,27 @@ if [ "$budget_ping" != '{"status":"ok","verb":"ping"}' ]; then
   exit 1
 fi
 
+echo "== bench gate (bench/main.exe scale serve campaign must run and write enveloped records)"
+# Nothing else runs the records driver, so a broken section would rot
+# unseen.  A quick pass of the three fastest records (one 1e3-gate scale
+# size) must exit 0, and every record it writes must carry the shared
+# envelope.
+BENCH_BIN="$PWD/_build/default/bench/main.exe"
+if ! (cd "$tmpdir" && STTC_SCALE_SIZES=1000 timeout 300 "$BENCH_BIN" \
+        scale serve campaign > bench.out 2>&1); then
+  echo "BENCH GATE FAILED: bench/main.exe scale serve campaign exited nonzero" >&2
+  cat "$tmpdir/bench.out" >&2
+  exit 1
+fi
+for rec in scale serve campaign; do
+  for field in experiment build cores seed rows; do
+    if ! grep -q "^  \"$field\": " "$tmpdir/BENCH_$rec.json"; then
+      echo "BENCH GATE FAILED: BENCH_$rec.json lacks the envelope field '$field'" >&2
+      exit 1
+    fi
+  done
+done
+
 status=0
 for b in $benches; do
   echo "== lint $b (structural + all three algorithms)"
