@@ -527,7 +527,10 @@ let lint_cmd =
           | alg -> alg)
         algorithms
     in
-    if list_rules then begin
+    if count < 1 then usage_error ~cmd:"lint" "--count must be at least 1"
+    else if not (Float.is_finite clock_factor && clock_factor >= 1.) then
+      usage_error ~cmd:"lint" "--clock-factor must be a finite number >= 1"
+    else if list_rules then begin
       print_string (Sttc_lint.Lint.catalog_text ());
       0
     end

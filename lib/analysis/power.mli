@@ -23,14 +23,6 @@ val estimate :
 (** When [activity] is omitted it is computed with default PI
     probabilities. *)
 
-val node_power_uw :
-  Sttc_tech.Library.t ->
-  Activity.t ->
-  Sttc_netlist.Netlist.t ->
-  Sttc_netlist.Netlist.node_id ->
-  float
-(** Per-node contribution (0 for PIs and constants). *)
-
 val overhead_pct : base:report -> modified:report -> float
 (** Total-power overhead percentage, Table I style. *)
 

@@ -2,6 +2,7 @@ module Netlist = Sttc_netlist.Netlist
 module Cnf = Sttc_logic.Cnf
 module Sat = Sttc_logic.Sat
 module Hybrid = Sttc_core.Hybrid
+module Encode = Sttc_sim.Encode
 module Deadline = Sttc_util.Deadline
 
 type solver_mode = Incremental | Scratch

@@ -4,6 +4,7 @@ module Ternary_sim = Sttc_sim.Ternary_sim
 module Rng = Sttc_util.Rng
 module Lognum = Sttc_util.Lognum
 module Hybrid = Sttc_core.Hybrid
+module Encode = Sttc_sim.Encode
 
 type lut_progress = {
   lut : Netlist.node_id;

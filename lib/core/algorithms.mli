@@ -24,7 +24,7 @@ type parametric_options = {
           worst parametric rows of Table I) *)
   n_paths : int option;
       (** how many sampled I/O paths to draw timing paths from;
-          [None] picks [max 1 (gate_count / 1500)] *)
+          [None] picks [max 3 (gate_count / 1200)] *)
   select_fraction : float;
       (** fraction of eligible (fan-in >= 2) gates initially drawn per
           timing path (default 0.35) *)

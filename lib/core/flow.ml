@@ -35,15 +35,21 @@ let algorithm_to_json = function
 let json_mem name j = Option.value (Json.member name j) ~default:Json.Null
 
 let algorithm_of_json j =
-  let of_name ?count ?clock_factor = function
+  let of_name ?(count = 5) ?clock_factor = function
     | "dependent" -> Ok Dependent
-    | "independent" -> Ok (Independent { count = Option.value count ~default:5 })
-    | "parametric" ->
+    | "independent" when count < 1 ->
+        Error (Printf.sprintf "independent count must be at least 1, not %d" count)
+    | "independent" -> Ok (Independent { count })
+    | "parametric" -> (
         let base = Algorithms.default_parametric in
-        let clock_factor =
-          Option.value clock_factor ~default:base.clock_factor
-        in
-        Ok (Parametric { base with clock_factor })
+        match Option.value clock_factor ~default:base.clock_factor with
+        | f when Float.is_finite f && f >= 1. ->
+            Ok (Parametric { base with clock_factor = f })
+        | f ->
+            Error
+              (Printf.sprintf
+                 "parametric clock_factor must be a finite number >= 1, not %g"
+                 f))
     | s -> Error ("unknown algorithm " ^ s)
   in
   match j with
@@ -75,7 +81,7 @@ type hardening = {
 let no_hardening = { extra_inputs_per_lut = 0; absorb_drivers = false }
 
 let protect ?(seed = 1) ?(library = Sttc_tech.Library.cmos90)
-    ?(fraction = 0.02) ?(hardening = no_hardening) ?(semantic = false)
+    ?(fraction = 0.02) ?(hardening = no_hardening)
     ?(backend = Backend.stt) ?base_sta algorithm netlist =
   Sttc_obs.Span.with_ "flow.protect" ~cat:"core"
     ~attrs:
@@ -184,34 +190,6 @@ let protect ?(seed = 1) ?(library = Sttc_tech.Library.cmos90)
       invalid_arg
         ("Flow.run: hybrid fails structural lint: "
         ^ Sttc_lint.Diagnostic.to_text d));
-  (* Opt-in semantic gate: the Eq. 1 prover and its companions on the
-     foundry view, with the true bitstream enabling the closure.  An
-     error here means the protection is statically defeatable (all
-     missing gates independently testable, or a keyspace collapse). *)
-  let lint =
-    if not semantic then lint
-    else begin
-      let sem =
-        Sttc_lint.Semantic_rules.run
-          (Sttc_lint.Semantic_rules.view
-             ~luts:(Hybrid.lut_ids hybrid)
-             ~configs:(Hybrid.bitstream hybrid)
-             (Hybrid.foundry_view hybrid))
-      in
-      (match
-         List.filter
-           (fun d ->
-             d.Sttc_lint.Diagnostic.severity = Sttc_lint.Diagnostic.Error)
-           sem
-       with
-      | [] -> ()
-      | d :: _ ->
-          invalid_arg
-            ("Flow.run: hybrid fails semantic lint: "
-            ^ Sttc_lint.Diagnostic.to_text d));
-      lint @ sem
-    end
-  in
   Sttc_util.Deadline.check ();
   let security =
     Security.evaluate
@@ -242,118 +220,22 @@ let protect ?(seed = 1) ?(library = Sttc_tech.Library.cmos90)
       parametric_meta = meta;
     }
 
-(* ---------- resilient protection ---------- *)
+(* ---------- entry point ---------- *)
 
-type rejection = {
-  attempted : algorithm;
-  attempt_seed : int;
-  reason : string;
-}
+type policy = Strict
 
-type resilient = {
-  accepted : result;
-  requested : algorithm;
-  rejections : rejection list;
-  degraded : bool;
-}
+type outcome = { accepted : result }
 
-let meets_timing algorithm (r : result) =
-  match algorithm with
-  | Parametric options ->
-      let budget_pct = (options.Algorithms.clock_factor -. 1.) *. 100. in
-      if r.overhead.Ppa.performance_pct <= budget_pct +. 1e-9 then Ok ()
-      else
-        Error
-          (Printf.sprintf "timing missed: %.2f%% degradation > %.2f%% budget"
-             r.overhead.Ppa.performance_pct budget_pct)
-  | Independent _ | Dependent -> Ok ()
-
-let degradation_chain = function
-  | Parametric _ as p -> [ p; Dependent; Independent { count = 5 } ]
-  | Dependent -> [ Dependent; Independent { count = 5 } ]
-  | Independent _ as i -> [ i ]
-
-let protect_resilient ?(seed = 1) ?library ?fraction ?hardening ?semantic
-    ?backend ?base_sta ?(max_reseeds = 2) algorithm netlist =
-  let rejections = ref [] in
-  let reject attempted attempt_seed reason =
-    rejections := { attempted; attempt_seed; reason } :: !rejections
-  in
-  let try_once alg attempt_seed =
-    Sttc_util.Deadline.check ();
-    match
-      protect ~seed:attempt_seed ?library ?fraction ?hardening ?semantic
-        ?backend ?base_sta alg netlist
-    with
-    | r -> (
-        match meets_timing alg r with
-        | Ok () -> Some r
-        | Error reason ->
-            reject alg attempt_seed reason;
-            None)
-    | exception Invalid_argument reason ->
-        reject alg attempt_seed reason;
-        None
-  in
-  let rec try_algorithm alg reseed =
-    if reseed > max_reseeds then None
-    else
-      match try_once alg (seed + reseed) with
-      | Some r -> Some r
-      | None -> try_algorithm alg (reseed + 1)
-  in
-  let rec down = function
-    | [] ->
-        invalid_arg
-          ("Flow.run: all attempts failed: "
-          ^ String.concat "; "
-              (List.rev_map
-                 (fun rj ->
-                   Printf.sprintf "%s@%d: %s"
-                     (algorithm_name rj.attempted)
-                     rj.attempt_seed rj.reason)
-                 !rejections))
-    | alg :: rest -> (
-        match try_algorithm alg 0 with
-        | Some r -> r
-        | None -> down rest)
-  in
-  let accepted = down (degradation_chain algorithm) in
-  {
-    accepted;
-    requested = algorithm;
-    rejections = List.rev !rejections;
-    degraded = algorithm_name accepted.algorithm <> algorithm_name algorithm;
-  }
-
-(* ---------- unified entry point ---------- *)
-
-type resilience = { max_reseeds : int }
-
-let default_resilience = { max_reseeds = 2 }
-
-type policy = Strict | Resilient of resilience
-
-let run ?seed ?library ?fraction ?hardening ?semantic ?backend ?base_sta
-    ~policy algorithm netlist =
+let run ?seed ?library ?fraction ?hardening ?backend ?base_sta ~policy:Strict
+    algorithm netlist =
   Sttc_obs.Span.with_ "flow.run" ~cat:"core"
-    ~attrs:
-      [
-        ("algorithm", algorithm_name algorithm);
-        ( "policy",
-          match policy with Strict -> "strict" | Resilient _ -> "resilient" );
-      ]
+    ~attrs:[ ("algorithm", algorithm_name algorithm) ]
   @@ fun () ->
-  match policy with
-  | Strict ->
-      let accepted =
-        protect ?seed ?library ?fraction ?hardening ?semantic ?backend
-          ?base_sta algorithm netlist
-      in
-      { accepted; requested = algorithm; rejections = []; degraded = false }
-  | Resilient { max_reseeds } ->
-      protect_resilient ?seed ?library ?fraction ?hardening ?semantic ?backend
-        ?base_sta ~max_reseeds algorithm netlist
+  {
+    accepted =
+      protect ?seed ?library ?fraction ?hardening ?backend ?base_sta algorithm
+        netlist;
+  }
 
 let lint_view ?(library = Sttc_tech.Library.cmos90) r =
   let algorithm =
@@ -395,18 +277,3 @@ let pp_result fmt r =
     (Netlist.design_name (Hybrid.original r.hybrid))
     Security.pp_report r.security Ppa.pp r.overhead
     (Sttc_util.Timing.format_min_sec r.selection_seconds)
-
-let pp_resilient fmt r =
-  if r.rejections <> [] then begin
-    Format.fprintf fmt "degradation chain (requested %s):@\n"
-      (algorithm_name r.requested);
-    List.iter
-      (fun rj ->
-        Format.fprintf fmt "  rejected %s (seed %d): %s@\n"
-          (algorithm_name rj.attempted) rj.attempt_seed rj.reason)
-      r.rejections
-  end;
-  Format.fprintf fmt "%s%a"
-    (if r.degraded then "DEGRADED to " ^ algorithm_name r.accepted.algorithm ^ ": "
-     else "")
-    pp_result r.accepted

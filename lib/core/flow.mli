@@ -23,7 +23,9 @@ val algorithm_to_json : algorithm -> Sttc_obs.Json.t
 val algorithm_of_json : Sttc_obs.Json.t -> (algorithm, string) result
 (** Inverse of {!algorithm_to_json}; also accepts a bare string for any
     of the three names ([count] defaults to 5, [clock_factor] to the
-    default parametric budget). *)
+    default parametric budget).  A [count] below 1 or a [clock_factor]
+    below 1 or not finite is an [Error]: this is the one gate for serve
+    requests and campaign manifests. *)
 
 type hardening = {
   extra_inputs_per_lut : int;
@@ -49,67 +51,37 @@ type result = {
       (** wall-clock of selection + replacement only (Table II metric) *)
   lint : Sttc_lint.Diagnostic.t list;
       (** structural diagnostics of the programmed hybrid (warnings and
-          infos; error-severity findings make {!protect} raise) *)
+          infos; error-severity findings make {!run} raise) *)
   parametric_meta : Algorithms.parametric_meta option;
       (** selection metadata when the algorithm was parametric-aware *)
 }
 
-(** {1 The unified entry point}
+(** {1 The entry point} *)
 
-    One function covers both failure semantics; callers choose with a
-    {!policy} value rather than between differently-named entry points:
+type policy = Strict
+(** [Strict] fails hard: parametric selection that cannot meet its clock
+    budget, or a hybrid that trips the structural lint, raises
+    [Invalid_argument].  It is the only policy; the type and the
+    single-field {!outcome} below stay because the frozen benchmark
+    harness ([perfbench/]) compiles against
+    [(Flow.run ~policy:Flow.Strict alg nl).Flow.accepted]. *)
 
-    - [run ~policy:Strict] fails hard — parametric selection that cannot
-      meet its clock budget, or a netlist whose hybrid trips the
-      structural lint, raises [Invalid_argument] and takes the run with
-      it;
-    - [run ~policy:(Resilient r)] retries with fresh seeds and then
-      walks an explicit graceful-degradation chain
-      (parametric → dependent → independent), recording every rejected
-      attempt so the caller can see what it actually got. *)
-
-type resilience = {
-  max_reseeds : int;
-      (** extra seeds tried per degradation step before moving on *)
-}
-
-val default_resilience : resilience
-(** [{ max_reseeds = 2 }] — seeds [seed, seed+1, seed+2] per step. *)
-
-type policy =
-  | Strict
-  | Resilient of resilience
-
-type rejection = {
-  attempted : algorithm;
-  attempt_seed : int;
-  reason : string;  (** timing miss or the exception message *)
-}
-
-type resilient = {
-  accepted : result;  (** the first attempt that passed *)
-  requested : algorithm;
-  rejections : rejection list;  (** failed attempts, in order *)
-  degraded : bool;
-      (** the accepted algorithm is weaker than the requested one *)
-}
-(** What {!run} produces.  Under [Strict] the outcome is always
-    [{ accepted; requested; rejections = []; degraded = false }]. *)
+type outcome = { accepted : result }
 
 val run :
   ?seed:int ->
   ?library:Sttc_tech.Library.t ->
   ?fraction:float ->
   ?hardening:hardening ->
-  ?semantic:bool ->
   ?backend:Sttc_backend.Backend.t ->
   ?base_sta:Sttc_analysis.Sta.t ->
   policy:policy ->
   algorithm ->
   Sttc_netlist.Netlist.t ->
-  resilient
+  outcome
 (** Run the full selection-and-replacement stage and the evaluation
-    around it.  Deterministic for a fixed seed at either policy.
+    around it, once, at [seed].  Deterministic for a fixed seed; any
+    failure raises [Invalid_argument].
 
     [backend] (default {!Sttc_backend.Backend.stt}) picks the protection
     technology.  Selection and hybrid construction are backend
@@ -122,33 +94,7 @@ val run :
     [base_sta] supplies a memoized timing analysis of the input netlist
     (e.g. the serve session cache); it is used only when it was computed
     on this exact netlist value, so it can never change results — only
-    skip the base [Sta.analyze].
-
-    [semantic] (default [false]) additionally gates every attempt on the
-    {!Sttc_lint.Semantic_rules} pack run against the foundry view with
-    the true bitstream: an error-severity finding — the Eq. 1 prover
-    showing every missing gate independently testable, or a keyspace
-    collapse — fails the attempt exactly like a structural error.  Under
-    [Strict] that raises; under [Resilient] it lands in the rejection
-    list and the flow reseeds or degrades.  The semantic diagnostics
-    (warnings included) are appended to the result's [lint] field.
-
-    [Strict]: a single attempt at [seed]; any failure raises
-    [Invalid_argument].
-
-    [Resilient { max_reseeds }]: try the requested algorithm at seeds
-    [seed, seed+1, .., seed+max_reseeds], then degrade along
-    {e parametric → dependent → independent} with the same reseed budget
-    per step.  Raises [Invalid_argument] only when every attempt of
-    every step failed (e.g. a netlist with no replaceable gates), with
-    the full rejection list in the message. *)
-
-val meets_timing : algorithm -> result -> (unit, string) Stdlib.result
-(** Parametric results must keep measured performance degradation within
-    the requested [clock_factor] budget; other algorithms always pass
-    (the paper expects dependent selection to degrade timing). *)
-
-val pp_resilient : Format.formatter -> resilient -> unit
+    skip the base [Sta.analyze]. *)
 
 val lint_view :
   ?library:Sttc_tech.Library.t -> result -> Sttc_lint.Security_rules.view

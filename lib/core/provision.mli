@@ -61,7 +61,7 @@ val programming_cost : ?backend:Sttc_backend.Backend.t -> Hybrid.t -> cost
 
 val pp_cost : Format.formatter -> cost -> unit
 
-(** {1 Resilient programming} *)
+(** {1 Programming with retries and repair} *)
 
 type resilience = {
   retry_budget : int;
@@ -137,4 +137,3 @@ val program :
     bitstream/netlist mismatches — every anomaly is classified in
     [outcome]. *)
 
-val pp_program_report : Format.formatter -> program_report -> unit

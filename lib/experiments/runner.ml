@@ -30,7 +30,6 @@ module Config = struct
   let with_seed seed t = { t with seed }
   let with_only names t = { t with only = Some names }
   let with_jobs jobs t = { t with jobs }
-  let with_backend backend t = { t with backend }
 end
 
 (* ---------- benchmark rows ---------- *)

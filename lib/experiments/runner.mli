@@ -40,7 +40,6 @@ module Config : sig
   val with_seed : int -> t -> t
   val with_only : string list -> t -> t
   val with_jobs : int -> t -> t
-  val with_backend : string -> t -> t
 end
 
 val rows : Config.t -> Sttc_core.Report.benchmark_row list

@@ -295,11 +295,9 @@ let equivalent t x y =
   Cnf.add_clause t.cnf [ -act ];
   match r with Holds -> Refuted | Refuted -> Holds | Cutoff -> Cutoff
 
-let unconfigured_luts t = t.luts
 let budget t = t.budget
 let queries t = t.queries
 let cutoffs t = t.cutoffs
 let conflicts t = t.conflicts
 let seconds t = t.seconds
-let has_observable_miter t = t.any_diff <> None
 let downstream t id = t.downstream.(id)

@@ -90,13 +90,6 @@ let encode_gate t out fn inputs =
       encode_xor_list t v inputs;
       encode_not t out v
 
-let encode_mux t out ~sel ~lo ~hi =
-  (* sel=1 -> out=hi ; sel=0 -> out=lo *)
-  add_clause t [ -sel; -hi; out ];
-  add_clause t [ -sel; hi; -out ];
-  add_clause t [ sel; -lo; out ];
-  add_clause t [ sel; lo; -out ]
-
 let encode_truth_lut t out ~key ~inputs =
   let n = Array.length inputs in
   let rows = Array.length key in
@@ -112,6 +105,3 @@ let encode_truth_lut t out ~key ~inputs =
     add_clause t ((out :: -key.(r) :: antecedent));
     add_clause t ((-out :: key.(r) :: antecedent))
   done
-
-let pp_stats fmt t =
-  Format.fprintf fmt "cnf: %d vars, %d clauses" (nvars t) (nclauses t)

@@ -52,13 +52,8 @@ val encode_xor : t -> lit -> lit -> lit -> unit
 val encode_gate : t -> lit -> Gate_fn.t -> lit list -> unit
 (** Encode any supported gate function. *)
 
-val encode_mux : t -> lit -> sel:lit -> lo:lit -> hi:lit -> unit
-(** out = sel ? hi : lo. *)
-
 val encode_truth_lut : t -> lit -> key:lit array -> inputs:lit array -> unit
 (** Encode a LUT whose content is symbolic: [key] holds one literal per
     truth-table row ([2^arity] literals, row 0 first); the output equals
     the key bit addressed by the inputs.  This is how missing STT gates
     enter the SAT-attack formula. *)
-
-val pp_stats : Format.formatter -> t -> unit

@@ -87,8 +87,6 @@ let program_luts t configs =
           (Netlist.Lut { arity; config = Some c }, fanins)
       | _ -> (kind, fanins))
 
-let map_kinds f t = Netlist.with_kinds t (fun id kind fanins -> (f id kind, fanins))
-
 let gate_fn_of t id =
   match Netlist.kind t id with
   | Netlist.Gate fn -> fn

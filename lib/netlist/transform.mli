@@ -31,11 +31,6 @@ val program_luts :
 (** Install configurations.  Raises [Invalid_argument] for non-LUT ids or
     arity mismatches. *)
 
-val map_kinds :
-  (Netlist.node_id -> Netlist.kind -> Netlist.kind) -> Netlist.t -> Netlist.t
-(** General node-kind rewrite preserving names and fanins; the callback
-    must preserve the fanin arity contract.  The result is re-validated. *)
-
 val absorb_driver :
   Netlist.t -> Netlist.node_id -> driver:Netlist.node_id -> Netlist.t
 (** Realize a {e complex function} in one LUT (Section IV-A.3): gate [id]

@@ -14,17 +14,11 @@ let encode ?cnf ?(share_inputs = []) ?(share_keys = []) nl =
   let cnf = match cnf with Some c -> c | None -> Cnf.create () in
   let input_tbl = Hashtbl.create 32 in
   List.iter (fun (n, l) -> Hashtbl.replace input_tbl n l) share_inputs;
-  let input_var name =
-    match Hashtbl.find_opt input_tbl name with
-    | Some l -> l
-    | None ->
-        let v = Cnf.fresh_var cnf in
-        Hashtbl.add input_tbl name v;
-        v
-  in
   let key_tbl = Hashtbl.create 16 in
   List.iter (fun (id, ls) -> Hashtbl.replace key_tbl id ls) share_keys;
   let lit = Array.make (Netlist.node_count nl) 0 in
+  (* node names and ids are unique, so each input and each LUT is met
+     (and listed) exactly once *)
   let inputs = ref [] and keys = ref [] in
   Array.iter
     (fun id ->
@@ -32,9 +26,13 @@ let encode ?cnf ?(share_inputs = []) ?(share_keys = []) nl =
       let node = Netlist.node nl id in
       match node.Netlist.kind with
       | Netlist.Pi | Netlist.Dff ->
-          let l = input_var node.Netlist.name in
-          if not (List.mem_assoc node.Netlist.name !inputs) then
-            inputs := (node.Netlist.name, l) :: !inputs;
+          let name = node.Netlist.name in
+          let l =
+            match Hashtbl.find_opt input_tbl name with
+            | Some l -> l
+            | None -> Cnf.fresh_var cnf
+          in
+          inputs := (name, l) :: !inputs;
           lit.(id) <- l
       | Netlist.Const v ->
           let x = Cnf.fresh_var cnf in
@@ -70,7 +68,7 @@ let encode ?cnf ?(share_inputs = []) ?(share_keys = []) nl =
                 Hashtbl.add key_tbl id k;
                 k
           in
-          if not (List.mem_assoc id !keys) then keys := (id, key) :: !keys;
+          keys := (id, key) :: !keys;
           Cnf.encode_truth_lut cnf x ~key ~inputs:ins;
           lit.(id) <- x)
     (Netlist.topo_order nl);

@@ -1,5 +1,6 @@
-(** CNF encoding of a hybrid (foundry view) with {e symbolic} LUT
-    configurations — the formula substrate of the SAT attack.
+(** The one netlist-to-CNF (Tseitin) encoder: the formula substrate of
+    the SAT attacks on a foundry view with {e symbolic} LUT
+    configurations, and of the {!Equiv.check_sat} sign-off miter.
 
     Each unprogrammed LUT contributes [2^arity] key variables, one per
     truth-table row; programmed LUTs and CMOS gates encode as fixed

@@ -132,97 +132,49 @@ let check_random ?(vectors = 4096) ~seed a b =
           | Some f -> Different f
           | None -> Equivalent))
 
-(* ---------- CNF encoding ---------- *)
-
-let encode_fixed_lut cnf out table inputs =
-  let n = Array.length inputs in
-  if Truth.arity table <> n then invalid_arg "Equiv: LUT arity";
-  for r = 0 to (1 lsl n) - 1 do
-    let antecedent =
-      List.init n (fun k ->
-          let l = inputs.(k) in
-          if (r lsr k) land 1 = 1 then -l else l)
-    in
-    let head = if Truth.row table r then out else -out in
-    Cnf.add_clause cnf (head :: antecedent)
-  done
-
-let encode_netlist cnf ~input_var nl =
-  let n = Netlist.node_count nl in
-  let lit = Array.make n 0 in
-  Array.iter
-    (fun id ->
-      let node = Netlist.node nl id in
-      match node.Netlist.kind with
-      | Netlist.Pi | Netlist.Dff -> lit.(id) <- input_var node.Netlist.name
-      | Netlist.Const v ->
-          let x = Cnf.fresh_var cnf in
-          Cnf.add_clause cnf [ (if v then x else -x) ];
-          lit.(id) <- x
-      | Netlist.Gate fn ->
-          let x = Cnf.fresh_var cnf in
-          let ins =
-            Array.to_list (Array.map (fun s -> lit.(s)) node.Netlist.fanins)
-          in
-          Cnf.encode_gate cnf x fn ins;
-          lit.(id) <- x
-      | Netlist.Lut { config = Some c; _ } ->
-          let x = Cnf.fresh_var cnf in
-          let ins = Array.map (fun s -> lit.(s)) node.Netlist.fanins in
-          encode_fixed_lut cnf x c ins;
-          lit.(id) <- x
-      | Netlist.Lut { config = None; _ } ->
-          invalid_arg
-            ("Equiv.encode_netlist: unprogrammed LUT " ^ node.Netlist.name))
-    (Netlist.topo_order nl);
-  let pos =
-    Array.to_list
-      (Array.map (fun (name, id) -> (name, lit.(id))) (Netlist.outputs nl))
-  in
-  let ff_inputs =
-    List.map
-      (fun ff -> (Netlist.name nl ff, lit.((Netlist.fanins nl ff).(0))))
-      (Netlist.dffs nl)
-  in
-  (pos, ff_inputs)
+(* ---------- SAT miter ---------- *)
 
 let check_sat ?(max_conflicts = max_int) a b =
   match check_interfaces a b with
   | Some m -> Inconclusive m
   | None -> (
-      let cnf = Cnf.create () in
-      let vars = Hashtbl.create 64 in
-      let input_var name =
-        match Hashtbl.find_opt vars name with
-        | Some v -> v
-        | None ->
-            let v = Cnf.fresh_var cnf in
-            Hashtbl.add vars name v;
-            v
+      (* [b] is encoded first and [a] shares its input literals; a key
+         literal means an unprogrammed LUT, which has no single function
+         to compare *)
+      let encode ?cnf ?share_inputs nl =
+        let k = Encode.encode ?cnf ?share_inputs nl in
+        match k.Encode.keys with
+        | [] -> Ok k
+        | (id, _) :: _ ->
+            Error ("Equiv.check_sat: unprogrammed LUT " ^ Netlist.name nl id)
       in
+      let ( let* ) = Result.bind in
       match
-        ( encode_netlist cnf ~input_var a,
-          encode_netlist cnf ~input_var b )
+        let* kb = encode b in
+        let* ka = encode ~cnf:kb.Encode.cnf ~share_inputs:kb.Encode.inputs a in
+        Ok (ka, kb)
       with
       | exception Invalid_argument m -> Inconclusive m
-      | (pos_a, ffs_a), (pos_b, ffs_b) ->
-          let assoc name l = List.assoc name l in
-          let diffs =
+      | Error m -> Inconclusive m
+      | Ok (ka, kb) ->
+          let cnf = kb.Encode.cnf in
+          (* [outputs] is the POs, then the flip-flop D-inputs; a PO may
+             carry a flip-flop's name, so each half is matched apart *)
+          let halves nl (k : Encode.keyed) =
+            let n_pos = Array.length (Netlist.outputs nl) in
+            ( List.filteri (fun i _ -> i < n_pos) k.Encode.outputs,
+              List.filteri (fun i _ -> i >= n_pos) k.Encode.outputs )
+          in
+          let pos_a, ffs_a = halves a ka and pos_b, ffs_b = halves b kb in
+          let miter outs_a outs_b =
             List.map
               (fun (name, la) ->
-                let lb = assoc name pos_b in
                 let d = Cnf.fresh_var cnf in
-                Cnf.encode_xor cnf d la lb;
+                Cnf.encode_xor cnf d la (List.assoc name outs_b);
                 (name, d))
-              pos_a
-            @ List.map
-                (fun (name, la) ->
-                  let lb = assoc name ffs_b in
-                  let d = Cnf.fresh_var cnf in
-                  Cnf.encode_xor cnf d la lb;
-                  (name, d))
-                ffs_a
+              outs_a
           in
+          let diffs = miter pos_a pos_b @ miter ffs_a ffs_b in
           Cnf.add_clause cnf (List.map snd diffs);
           let solver = Sat.Solver.of_cnf cnf in
           (match Sat.Solver.solve ~max_conflicts solver with
@@ -230,9 +182,9 @@ let check_sat ?(max_conflicts = max_int) a b =
           | Sat.Unsat -> Equivalent
           | Sat.Sat model ->
               let witness =
-                Hashtbl.fold
-                  (fun name v acc -> (name, Sat.model_value model v) :: acc)
-                  vars []
+                List.map
+                  (fun (name, v) -> (name, Sat.model_value model v))
+                  kb.Encode.inputs
                 |> List.sort (fun (x, _) (y, _) -> String.compare x y)
               in
               let signal =

@@ -35,15 +35,3 @@ val check_sat :
 val check_bdd : Sttc_netlist.Netlist.t -> Sttc_netlist.Netlist.t -> result
 (** Complete; practical up to a few thousand gates on well-behaved
     circuits. *)
-
-val encode_netlist :
-  Sttc_logic.Cnf.t ->
-  input_var:(string -> Sttc_logic.Cnf.lit) ->
-  Sttc_netlist.Netlist.t ->
-  (string * Sttc_logic.Cnf.lit) list * (string * Sttc_logic.Cnf.lit) list
-(** Tseitin-encode the combinational view of a netlist into an existing
-    formula.  [input_var] supplies literals for PIs and flip-flop outputs
-    (by name, enabling variable sharing across netlists).  Returns the
-    (PO name, literal) and (flip-flop name, D-input literal) associations.
-    Raises [Invalid_argument] on unprogrammed LUTs.  Exposed for the SAT
-    attack, which builds its own miters. *)

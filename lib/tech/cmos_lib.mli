@@ -14,10 +14,6 @@ val gate : Sttc_logic.Gate_fn.t -> Cell.t
 (** Cell for a combinational gate function.  Raises [Invalid_argument] on
     arities outside the supported range (1..6). *)
 
-val average_gate : Cell.t
-(** A representative "average" gate (mix-weighted NAND2-ish values), used
-    for calibration summaries only. *)
-
 (* Model parameters, exposed for documentation and tests. *)
 
 val tau_ps : float

@@ -18,4 +18,3 @@ let lut n =
   }
 
 let bitstream_exposed = true
-let reload_time_us = 120.

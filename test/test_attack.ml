@@ -16,7 +16,7 @@ let protect ?seed ?fraction ?hardening alg nl =
     .Flow.accepted
 
 module Oracle = Sttc_attack.Oracle
-module Encode = Sttc_attack.Encode
+module Encode = Sttc_sim.Encode
 module Sat_attack = Sttc_attack.Sat_attack
 module Tt_attack = Sttc_attack.Tt_attack
 module Brute_force = Sttc_attack.Brute_force

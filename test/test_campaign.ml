@@ -148,14 +148,14 @@ let test_manifest_rejections () =
     Printf.sprintf {|{"name": "x", "circuits": ["s27"], "seeds": [1], "%s": %s}|}
       field value
   in
-  let check_budget field result =
+  let check_named field result =
     match result with
-    | Ok _ -> Alcotest.fail (field ^ ": non-positive budget accepted")
+    | Ok _ -> Alcotest.fail (field ^ ": out-of-range value accepted")
     | Error e ->
         Alcotest.(check bool) (field ^ " named in " ^ e) true (contains e field)
   in
   List.iter
-    (fun (field, value) -> check_budget field (Manifest.of_string (budget field value)))
+    (fun (field, value) -> check_named field (Manifest.of_string (budget field value)))
     [
       ("attempt_timeout_s", "-1.0");
       ("attempt_timeout_s", "0");
@@ -164,11 +164,25 @@ let test_manifest_rejections () =
       ("heartbeat_timeout_s", "0");
     ];
   let make = Manifest.make ~name:"x" ~circuits:[ "s27" ] ~seeds:[ 1 ] in
-  check_budget "timeout_s" (Manifest.validate (make ~timeout_s:Float.nan ()));
-  check_budget "attempt_timeout_s"
+  check_named "timeout_s" (Manifest.validate (make ~timeout_s:Float.nan ()));
+  check_named "attempt_timeout_s"
     (Manifest.validate (make ~attempt_timeout_s:Float.nan ()));
-  check_budget "heartbeat_timeout_s"
-    (Manifest.validate (make ~heartbeat_timeout_s:Float.nan ()))
+  check_named "heartbeat_timeout_s"
+    (Manifest.validate (make ~heartbeat_timeout_s:Float.nan ()));
+  (* out-of-range algorithm parameters: the error names the parameter *)
+  List.iter
+    (fun (field, alg) ->
+      check_named field
+        (Manifest.of_string
+           (Printf.sprintf
+              {|{"name": "x", "circuits": ["s27"], "seeds": [1], "algorithms": [%s]}|}
+              alg)))
+    [
+      ("clock_factor", {|{"name": "parametric", "clock_factor": 0}|});
+      ("clock_factor", {|{"name": "parametric", "clock_factor": 0.5}|});
+      ("clock_factor", {|{"name": "parametric", "clock_factor": 1e999}|});
+      ("count", {|{"name": "independent", "count": 0}|});
+    ]
 
 (* ---------- shard assignment ---------- *)
 

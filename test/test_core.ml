@@ -402,42 +402,6 @@ let test_flow_seed_identical_artifacts () =
       Alcotest.(check string) (name ^ " lint identical") l1 l2)
     Flow.default_algorithms
 
-let test_protect_resilient_passthrough () =
-  let nl = medium_circuit 24 in
-  let r =
-    Flow.run ~seed:5 ~policy:(Flow.Resilient Flow.default_resilience)
-      Flow.Dependent nl
-  in
-  Alcotest.(check bool) "not degraded" false r.Flow.degraded;
-  Alcotest.(check (list string)) "no rejections" []
-    (List.map (fun rj -> rj.Flow.reason) r.Flow.rejections);
-  Alcotest.(check string) "kept algorithm" "dependent"
-    (Flow.algorithm_name r.Flow.accepted.Flow.algorithm)
-
-let test_protect_resilient_degrades () =
-  let nl = medium_circuit 25 in
-  (* a clock factor this tight leaves no slack at all, so parametric
-     selection cannot meet its own timing budget and the chain must
-     fall back *)
-  let options =
-    { Sttc_core.Algorithms.default_parametric with clock_factor = 1.000001 }
-  in
-  let r =
-    Flow.run ~seed:5
-      ~policy:(Flow.Resilient { Flow.max_reseeds = 1 })
-      (Flow.Parametric options) nl
-  in
-  if r.Flow.degraded then begin
-    Alcotest.(check bool) "recorded rejections" true (r.Flow.rejections <> []);
-    Alcotest.(check string) "degraded to the next chain step" "dependent"
-      (Flow.algorithm_name r.Flow.accepted.Flow.algorithm)
-  end
-  else
-    (* the tight budget happened to hold: then there is nothing to
-       degrade and the result must be the parametric one *)
-    Alcotest.(check string) "kept parametric" "parametric"
-      (Flow.algorithm_name r.Flow.accepted.Flow.algorithm)
-
 let test_flow_independent_uses_count () =
   let nl = medium_circuit 19 in
   let r = protect ~seed:4 (Flow.Independent { count = 7 }) nl in
@@ -702,10 +666,6 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_flow_deterministic;
           Alcotest.test_case "seed-identical artifacts" `Quick
             test_flow_seed_identical_artifacts;
-          Alcotest.test_case "resilient passthrough" `Quick
-            test_protect_resilient_passthrough;
-          Alcotest.test_case "resilient degradation" `Quick
-            test_protect_resilient_degrades;
           Alcotest.test_case "independent count" `Quick
             test_flow_independent_uses_count;
           Alcotest.test_case "rejects gateless" `Quick test_flow_rejects_gateless;

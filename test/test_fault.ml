@@ -1,5 +1,5 @@
-(* Tests for Sttc_fault (MTJ write channel, SECDED code, design-level
-   fault injection) and the resilience built on it: the retrying
+(* Tests for Sttc_fault (MTJ write channel, SECDED code) and the
+   resilience built on it: the retrying
    provisioner, the hardened bitstream parser and the fault sweep. *)
 
 module Netlist = Sttc_netlist.Netlist
@@ -9,7 +9,6 @@ module Rng = Sttc_util.Rng
 module Timing = Sttc_util.Timing
 module Mtj = Sttc_fault.Mtj
 module Ecc = Sttc_fault.Ecc
-module Inject = Sttc_fault.Inject
 module Flow = Sttc_core.Flow
 
 (* strict single-attempt protection via the unified Flow.run entry point *)
@@ -180,58 +179,33 @@ let test_mtj_spec_validation () =
   Alcotest.(check bool) "gain < 1" true
     (rejects (fun () -> Mtj.spec ~escalation_gain:0.5 ()))
 
-(* ---------- Inject ---------- *)
+(* ---------- Provision.parse hardening ---------- *)
 
 let programmed_hybrid seed =
   let nl = small_circuit seed in
   let r = protect ~seed (Flow.Independent { count = 4 }) nl in
   (nl, r.Flow.hybrid)
 
-let test_inject_retention_rate_bounds () =
-  let _, h = programmed_hybrid 31 in
-  let nl = Hybrid.programmed h in
-  let none, flips0 = Inject.retention_flips ~rng:(Rng.make 1) ~rate:0. nl in
-  Alcotest.(check int) "rate 0 flips nothing" 0 (List.length flips0);
-  Alcotest.(check bool) "rate 0 is the identity" true (equivalent nl none);
-  let _, flips1 = Inject.retention_flips ~rng:(Rng.make 1) ~rate:1. nl in
-  Alcotest.(check int) "rate 1 flips every config bit"
-    (Hybrid.bitstream_bits h) (List.length flips1);
-  Alcotest.(check bool) "bad rate rejected" true
-    (try
-       ignore (Inject.retention_flips ~rng:(Rng.make 1) ~rate:2. nl);
-       false
-     with Invalid_argument _ -> true)
-
-let test_inject_stuck_at () =
-  let _, h = programmed_hybrid 32 in
-  let nl = Hybrid.programmed h in
-  let net = Netlist.name nl (List.hd (Netlist.gates nl)) in
-  let faulty = Inject.stuck_at nl ~net true in
-  (match Netlist.kind faulty (Netlist.find_exn faulty net) with
-  | Netlist.Const true -> ()
-  | _ -> Alcotest.fail "driver must become Const true");
-  Alcotest.(check bool) "unknown net rejected" true
-    (try
-       ignore (Inject.stuck_at nl ~net:"no-such-net" false);
-       false
-     with Invalid_argument _ -> true)
-
-let test_inject_random_stuck_ats () =
-  let _, h = programmed_hybrid 33 in
-  let nl = Hybrid.programmed h in
-  let faulty, faults = Inject.random_stuck_ats ~rng:(Rng.make 5) ~count:3 nl in
-  Alcotest.(check int) "three faults" 3 (List.length faults);
-  Alcotest.(check int) "distinct nets" 3
-    (List.length (List.sort_uniq compare (List.map fst faults)));
-  List.iter
-    (fun (net, v) ->
-      match Netlist.kind faulty (Netlist.find_exn faulty net) with
-      | Netlist.Const c ->
-          Alcotest.(check bool) ("constant at " ^ net) v c
-      | _ -> Alcotest.fail ("no constant at " ^ net))
-    faults
-
-(* ---------- Provision.parse hardening ---------- *)
+(* Mangle a bitstream text: [char_flips] (default 4) random characters
+   are overwritten with random printable bytes, then the text is cut at
+   [truncate_at] bytes if given.  The result is syntactically arbitrary
+   — it may still parse, parse to different entries, or make
+   [Provision.parse] raise; the contract under test is that it never
+   escapes as anything but a labelled [Failure]. *)
+let corrupt_bitstream ~rng ?(char_flips = 4) ?truncate_at text =
+  let b = Bytes.of_string text in
+  let n = Bytes.length b in
+  if n > 0 then
+    for _ = 1 to char_flips do
+      let i = Rng.int rng n in
+      (* printable ASCII plus the separators the parser cares about *)
+      let repl = [| ' '; '\t'; '\r'; '\n'; '0'; '1'; '2'; 'x'; '#'; '_' |] in
+      Bytes.set b i (Rng.pick rng repl)
+    done;
+  let s = Bytes.to_string b in
+  match truncate_at with
+  | Some k when k < String.length s -> String.sub s 0 (max 0 k)
+  | _ -> s
 
 let reference_entries seed =
   let _, h = programmed_hybrid seed in
@@ -284,7 +258,7 @@ let prop_parse_never_escapes =
       let entries = reference_entries 35 in
       let text = Provision.to_string entries in
       let mangled =
-        Inject.corrupt_bitstream ~rng:(Rng.make seed) ~char_flips
+        corrupt_bitstream ~rng:(Rng.make seed) ~char_flips
           ~truncate_at:(min cut (String.length text))
           text
       in
@@ -466,14 +440,6 @@ let () =
           Alcotest.test_case "escalation energy" `Quick
             test_mtj_escalation_energy;
           Alcotest.test_case "spec validation" `Quick test_mtj_spec_validation;
-        ] );
-      ( "inject",
-        [
-          Alcotest.test_case "retention rate bounds" `Quick
-            test_inject_retention_rate_bounds;
-          Alcotest.test_case "stuck-at" `Quick test_inject_stuck_at;
-          Alcotest.test_case "random stuck-ats" `Quick
-            test_inject_random_stuck_ats;
         ] );
       ( "parse",
         [

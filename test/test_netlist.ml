@@ -526,78 +526,6 @@ let test_profile_stats () =
   Alcotest.(check bool) "renders" true
     (String.length (Sttc_netlist.Profile_stats.render st) > 0)
 
-(* ---------- scan chains ---------- *)
-
-let test_scan_insert_functional_mode () =
-  let nl = Sttc_netlist.Iscas_data.s27 () in
-  let chain = Sttc_netlist.Scan.insert nl in
-  let snl = chain.Sttc_netlist.Scan.netlist in
-  (* two extra PIs, one extra PO, 3 mux gates per FF + shared inverter *)
-  Alcotest.(check int) "pis" (4 + 2) (List.length (Netlist.pis snl));
-  Alcotest.(check int) "pos" 2 (Array.length (Netlist.outputs snl));
-  Alcotest.(check int) "gates" (10 + (3 * 3) + 1) (List.length (Netlist.gates snl));
-  Alcotest.(check int) "shift cycles" 3 (Sttc_netlist.Scan.shift_cycles chain);
-  (* functional mode (scan_en = 0) is cycle-exact to the original *)
-  let sim0 = Sttc_sim.Simulator.create nl in
-  let sim1 = Sttc_sim.Simulator.create snl in
-  Sttc_sim.Simulator.reset sim0;
-  Sttc_sim.Simulator.reset sim1;
-  let rng = Sttc_util.Rng.make 5 in
-  for _ = 1 to 24 do
-    let pi0 =
-      Array.map (fun _ -> Sttc_util.Rng.int64 rng) (Array.of_list (Netlist.pis nl))
-    in
-    let pi1 = Array.append pi0 [| 0L; 0L |] in
-    let o0 = Sttc_sim.Simulator.step sim0 pi0 in
-    let o1 = Sttc_sim.Simulator.step sim1 pi1 in
-    Array.iteri
-      (fun i v -> Alcotest.(check int64) "output lane" v o1.(i))
-      o0
-  done
-
-let test_scan_shift_loads_state () =
-  let nl = Sttc_netlist.Iscas_data.s27 () in
-  let chain = Sttc_netlist.Scan.insert nl in
-  let snl = chain.Sttc_netlist.Scan.netlist in
-  let sim = Sttc_sim.Simulator.create snl in
-  let target = [| true; false; true |] in
-  Sttc_sim.Simulator.reset sim;
-  List.iter
-    (fun v ->
-      let lanes = Array.map (fun b -> if b then -1L else 0L) v in
-      ignore (Sttc_sim.Simulator.step sim lanes))
-    (Sttc_netlist.Scan.shift_sequence chain target);
-  let st = Sttc_sim.Simulator.state sim in
-  let dffs = Netlist.dffs snl in
-  List.iteri
-    (fun i ff ->
-      let pos = ref 0 in
-      List.iteri (fun j f -> if f = ff then pos := j) dffs;
-      Alcotest.(check int64)
-        ("chain position " ^ string_of_int i)
-        (if target.(i) then 1L else 0L)
-        (Int64.logand st.(!pos) 1L))
-    chain.Sttc_netlist.Scan.order
-
-let test_scan_lock_removes_chain () =
-  let nl = Sttc_netlist.Iscas_data.s27 () in
-  let chain = Sttc_netlist.Scan.insert nl in
-  let locked = Sttc_netlist.Scan.lock chain.Sttc_netlist.Scan.netlist in
-  let cleaned = Sttc_netlist.Opt.optimize locked in
-  (* the mux logic folds away entirely *)
-  Alcotest.(check int) "back to 10 gates" 10 (List.length (Netlist.gates cleaned));
-  Alcotest.check_raises "lock needs scan_en"
-    (Invalid_argument "Scan.lock: no scan_en input") (fun () ->
-      ignore (Sttc_netlist.Scan.lock nl))
-
-let test_scan_insert_validation () =
-  let b = Netlist.Builder.create () in
-  let a = Netlist.Builder.add_pi b "a" in
-  Netlist.Builder.add_output b "y" a;
-  let comb = Netlist.Builder.finalize b in
-  Alcotest.check_raises "no ffs" (Invalid_argument "Scan.insert: no flip-flops")
-    (fun () -> ignore (Sttc_netlist.Scan.insert comb))
-
 (* ---------- generator ---------- *)
 
 let test_generator_spec_counts () =
@@ -807,13 +735,6 @@ let () =
         ] );
       ( "profile_stats",
         [ Alcotest.test_case "compute/render" `Quick test_profile_stats ] );
-      ( "scan",
-        [
-          Alcotest.test_case "functional mode" `Quick test_scan_insert_functional_mode;
-          Alcotest.test_case "shift loads state" `Quick test_scan_shift_loads_state;
-          Alcotest.test_case "lock removes chain" `Quick test_scan_lock_removes_chain;
-          Alcotest.test_case "validation" `Quick test_scan_insert_validation;
-        ] );
       ( "generator",
         [
           Alcotest.test_case "spec counts" `Quick test_generator_spec_counts;

@@ -109,57 +109,6 @@ let prop_sweep_equivalence_and_map =
       equivalent nl swept
       && Array.for_all (fun m -> m >= -1 && m < Netlist.node_count swept) map)
 
-let prop_scan_functional_mode =
-  QCheck2.Test.make ~name:"scan insertion is invisible in functional mode"
-    ~count:10 gen_seed
-    (fun seed ->
-      let nl = gen_netlist seed in
-      QCheck2.assume (Netlist.dffs nl <> []);
-      let chain = Sttc_netlist.Scan.insert nl in
-      let snl = chain.Sttc_netlist.Scan.netlist in
-      let sim0 = Sttc_sim.Simulator.create nl in
-      let sim1 = Sttc_sim.Simulator.create snl in
-      Sttc_sim.Simulator.reset sim0;
-      Sttc_sim.Simulator.reset sim1;
-      let rng = Rng.make seed in
-      let pis0 = Array.of_list (Netlist.pis nl) in
-      let ok = ref true in
-      for _ = 1 to 12 do
-        let v0 = Array.map (fun _ -> Rng.int64 rng) pis0 in
-        let v1 = Array.append v0 [| 0L; 0L |] in
-        let o0 = Sttc_sim.Simulator.step sim0 v0 in
-        let o1 = Sttc_sim.Simulator.step sim1 v1 in
-        Array.iteri (fun i v -> if v <> o1.(i) then ok := false) o0
-      done;
-      !ok)
-
-let prop_scan_shift_any_state =
-  QCheck2.Test.make ~name:"scan shifting loads any state" ~count:10
-    QCheck2.Gen.(pair gen_seed (int_range 0 15))
-    (fun (seed, state_bits) ->
-      let nl = gen_netlist seed in
-      QCheck2.assume (Netlist.dffs nl <> []);
-      let chain = Sttc_netlist.Scan.insert nl in
-      let snl = chain.Sttc_netlist.Scan.netlist in
-      let m = Sttc_netlist.Scan.shift_cycles chain in
-      let target = Array.init m (fun i -> (state_bits lsr (i mod 4)) land 1 = 1) in
-      let sim = Sttc_sim.Simulator.create snl in
-      Sttc_sim.Simulator.reset sim;
-      List.iter
-        (fun v ->
-          ignore
-            (Sttc_sim.Simulator.step sim
-               (Array.map (fun b -> if b then -1L else 0L) v)))
-        (Sttc_netlist.Scan.shift_sequence chain target);
-      let st = Sttc_sim.Simulator.state sim in
-      let dffs = Netlist.dffs snl in
-      List.for_all
-        (fun (i, ff) ->
-          let pos = ref 0 in
-          List.iteri (fun j f -> if f = ff then pos := j) dffs;
-          Int64.logand st.(!pos) 1L = (if target.(i) then 1L else 0L))
-        (List.mapi (fun i ff -> (i, ff)) chain.Sttc_netlist.Scan.order))
-
 (* ---------- IO round-trips ---------- *)
 
 let prop_bench_roundtrip_with_luts =
@@ -452,8 +401,6 @@ let () =
           [
             prop_optimize_equivalence;
             prop_sweep_equivalence_and_map;
-            prop_scan_functional_mode;
-            prop_scan_shift_any_state;
           ] );
       ( "io",
         List.map to_case

@@ -143,7 +143,19 @@ let test_malformed_frames () =
   reject "bad timeout type" {|{"verb":"ping","timeout_s":"fast"}|};
   reject "bad solver mode"
     {|{"verb":"attack","netlist":"s27","config":{"solver_mode":"quantum"}}|};
-  reject "bad lint format" {|{"verb":"lint","netlist":"s27","format":"xml"}|}
+  reject "bad lint format" {|{"verb":"lint","netlist":"s27","format":"xml"}|};
+  (* out-of-range algorithm parameters fail before any work starts *)
+  List.iter
+    (fun alg ->
+      reject alg
+        (Printf.sprintf {|{"verb":"protect","netlist":"s27","algorithm":%s}|}
+           alg))
+    [
+      {|{"name":"parametric","clock_factor":0}|};
+      {|{"name":"parametric","clock_factor":-1}|};
+      {|{"name":"parametric","clock_factor":1e999}|};
+      {|{"name":"independent","count":0}|};
+    ]
 
 (* ---------- response codec ---------- *)
 

@@ -21,6 +21,27 @@ fi
 echo "== dune build"
 dune build
 
+echo "== reachability gate (every lib module is named by another non-test file)"
+# A module that only the tests reach is dead code: each lib/*/*.ml must be
+# named as `Mod.` by some .ml file in lib/, bin/, bench/, examples/ or
+# perfbench/ other than its own.  Allowlist (module: reason):
+#   Dimacs: the test-corpus reader; the SAT-kernel bench of ROADMAP item 2
+#           is meant to become its production caller.
+REACH_ALLOW="Dimacs"
+orphans=""
+for f in lib/*/*.ml; do
+  mod=$(basename "$f" .ml | awk '{ print toupper(substr($0, 1, 1)) substr($0, 2) }')
+  case " $REACH_ALLOW " in *" $mod "*) continue ;; esac
+  if ! grep -rlE --include='*.ml' "(^|[^A-Za-z0-9_'])$mod\." \
+       lib bin bench examples perfbench | grep -vxq "$f"; then
+    orphans="$orphans $mod"
+  fi
+done
+if [ -n "$orphans" ]; then
+  echo "REACHABILITY GATE FAILED: no production caller for:$orphans" >&2
+  exit 1
+fi
+
 echo "== dune runtest"
 dune runtest
 
