@@ -446,10 +446,6 @@ let serve_bench ~jobs () =
       req (Serve.Request.Ping { sleep_s = 0. }); req Serve.Request.Stats;
     |]
   in
-  let percentile sorted p =
-    let n = Array.length sorted in
-    sorted.(min (n - 1) (int_of_float (ceil (p /. 100. *. float_of_int n)) - 1))
-  in
   let pass ~tag ~cache_capacity =
     let socket =
       Filename.concat (Filename.get_temp_dir_name ())
@@ -508,13 +504,10 @@ let serve_bench ~jobs () =
           | Error e -> failwith ("serve bench client failed: " ^ e))
         results
     in
-    let sorted = Array.of_list lats in
-    Array.sort compare sorted;
-    let total = Array.length sorted in
+    let total = List.length lats in
     let rps = float_of_int total /. wall in
-    let p50 = percentile sorted 50.
-    and p95 = percentile sorted 95.
-    and p99 = percentile sorted 99. in
+    let percentile p = Sttc_util.Stats.percentile p lats in
+    let p50 = percentile 50. and p95 = percentile 95. and p99 = percentile 99. in
     Printf.printf
       "  %-4s cache: %4d reqs in %5.2fs -> %7.1f req/s   p50 %.3fms  p95 \
        %.3fms  p99 %.3fms\n\

@@ -5,7 +5,6 @@ module Gate_fn = Sttc_logic.Gate_fn
 type t = {
   netlist : Netlist.t;
   prob : float array;
-  converged : bool;
 }
 
 (* Exact output probability of a truth table given independent input
@@ -27,8 +26,7 @@ let truth_probability table input_probs =
   (* rounding across many rows can drift a hair outside [0,1] *)
   Float.min 1. (Float.max 0. !total)
 
-let analyze ?(pi_probability = 0.5) ?(max_iterations = 40) ?(tolerance = 1e-4)
-    nl =
+let analyze ?(pi_probability = 0.5) nl =
   if pi_probability < 0. || pi_probability > 1. then
     invalid_arg "Activity.analyze: pi_probability";
   let n = Netlist.node_count nl in
@@ -68,12 +66,10 @@ let analyze ?(pi_probability = 0.5) ?(max_iterations = 40) ?(tolerance = 1e-4)
         delta := Float.max !delta (Float.abs (next -. prob.(ff)));
         prob.(ff) <- next)
       dffs;
-    if !delta <= tolerance then true
-    else if k >= max_iterations then false
-    else iterate (k + 1)
+    if !delta > 1e-4 && k < 40 then iterate (k + 1)
   in
-  let converged = if dffs = [] then (propagate_comb (); true) else iterate 1 in
-  { netlist = nl; prob; converged }
+  if dffs = [] then propagate_comb () else iterate 1;
+  { netlist = nl; prob }
 
 (* True when two kinds denote the same probability transfer function, so
    swapping one for the other cannot change any computed probability.
@@ -123,7 +119,7 @@ let refine t nl ~changed =
            on [nl] retraces the base trajectory bit for bit *)
         Metrics.incr "activity.refine.cone";
         Metrics.observe "activity.refine.cone_nodes" 0.;
-        { netlist = nl; prob = Array.copy t.prob; converged = t.converged }
+        { netlist = nl; prob = Array.copy t.prob }
       end
       else begin
         (* Forward cone of the dirty nodes (iterative; fanout caches of
@@ -181,7 +177,7 @@ let refine t nl ~changed =
             (Netlist.topo_order nl);
           Metrics.incr "activity.refine.cone";
           Metrics.observe "activity.refine.cone_nodes" (float_of_int !cone);
-          { netlist = nl; prob; converged = t.converged }
+          { netlist = nl; prob }
         end
       end
 
@@ -205,5 +201,3 @@ let average_switching t =
   | _ ->
       List.fold_left (fun acc id -> acc +. switching t id) 0. ids
       /. float_of_int (List.length ids)
-
-let converged t = t.converged

@@ -9,14 +9,10 @@
 
 type t
 
-val analyze :
-  ?pi_probability:float ->
-  ?max_iterations:int ->
-  ?tolerance:float ->
-  Sttc_netlist.Netlist.t ->
-  t
-(** Defaults: PI one-probability 0.5, 40 iterations, tolerance 1e-4.
-    Unconfigured LUTs take probability 0.5. *)
+val analyze : ?pi_probability:float -> Sttc_netlist.Netlist.t -> t
+(** Default PI one-probability 0.5.  Unconfigured LUTs take probability
+    0.5.  The flip-flop fixpoint stops at a 1e-4 tolerance or after 40
+    iterations; an unconverged result is still a usable estimate. *)
 
 val refine :
   t -> Sttc_netlist.Netlist.t -> changed:Sttc_netlist.Netlist.node_id list -> t
@@ -41,7 +37,3 @@ val switching : t -> Sttc_netlist.Netlist.node_id -> float
 
 val average_switching : t -> float
 (** Mean over combinational nodes, for reporting. *)
-
-val converged : t -> bool
-(** False when the flip-flop fixpoint hit the iteration limit (the result
-    is still usable as an estimate). *)

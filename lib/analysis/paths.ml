@@ -87,9 +87,6 @@ let find_io_path_with ~rng ~po_driver nl start =
   done;
   !best
 
-let find_io_path ~rng nl start =
-  find_io_path_with ~rng ~po_driver:(is_po_driver nl) nl start
-
 let path_key nodes = String.concat "," (List.map string_of_int nodes)
 
 let sample ~rng ?(fraction = 0.02) ?(min_ffs = 2) ?(exclude_critical = []) nl =
@@ -178,8 +175,3 @@ let segments nl path =
         | Netlist.Gate _ | Netlist.Lut _ -> go rest launch (id :: acc_gates) segs)
   in
   go path.nodes false [] []
-
-let gates_on_path nl path =
-  List.filter
-    (fun id -> Netlist.is_combinational (Netlist.kind nl id))
-    path.nodes

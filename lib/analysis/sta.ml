@@ -71,7 +71,6 @@ let arrival_ps t id =
   t.arrival.(id)
 
 let critical_delay_ps t = t.critical
-let critical_endpoint t = t.critical_end
 
 (* Walk backward from an endpoint through the fanin with the worst
    arrival until a source is reached. *)
@@ -96,31 +95,7 @@ let critical_path t = path_to t t.critical_end
 let max_frequency_ghz t =
   if t.critical <= 0. then infinity else 1000. /. t.critical
 
-let slack_ps t ~clock_ps = clock_ps -. t.critical
 let endpoint_arrivals t = t.endpoints
-
-let worst_paths t ~k =
-  List.filteri (fun i _ -> i < k) t.endpoints
-  |> List.map (fun (endpoint, arrival) -> (arrival, path_to t endpoint))
-
-let report ?(k = 3) t =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    (Printf.sprintf "critical delay %.1f ps (max %.3f GHz), %d endpoints\n"
-       t.critical (max_frequency_ghz t) (List.length t.endpoints));
-  List.iteri
-    (fun i (arrival, path) ->
-      Buffer.add_string buf (Printf.sprintf "path %d (%.1f ps): " (i + 1) arrival);
-      Buffer.add_string buf
-        (String.concat " -> "
-           (List.map
-              (fun id ->
-                Printf.sprintf "%s@%.0f" (Netlist.name t.netlist id)
-                  t.arrival.(id))
-              path));
-      Buffer.add_char buf '\n')
-    (worst_paths t ~k);
-  Buffer.contents buf
 
 (* ---------- the incremental engine ---------- *)
 
@@ -412,13 +387,6 @@ let trial_delay_ps tr ~kind_of changed =
   let _, v = ep_best tr in
   trial_undo tr;
   v
-
-let trial_critical tr ~kind_of changed =
-  ignore (trial_apply tr ~kind_of changed);
-  let id, v = ep_best tr in
-  let path = path_to_arrivals tr.base.netlist tr.arr id in
-  trial_undo tr;
-  (v, path)
 
 (* ---------- persistent sessions ---------- *)
 

@@ -25,22 +25,10 @@ val critical_path : t -> Sttc_netlist.Netlist.node_id list
     segment only: the nodes between, and including, the launching source
     and the endpoint). *)
 
-val critical_endpoint : t -> Sttc_netlist.Netlist.node_id
 val max_frequency_ghz : t -> float
-
-val slack_ps : t -> clock_ps:float -> float
-(** [clock_ps - critical_delay_ps]; negative when timing is violated. *)
 
 val endpoint_arrivals : t -> (Sttc_netlist.Netlist.node_id * float) list
 (** All endpoints with their arrival times, worst first. *)
-
-val worst_paths : t -> k:int -> (float * Sttc_netlist.Netlist.node_id list) list
-(** The [k] worst endpoints, each with its arrival time and one worst path
-    (launch point first). *)
-
-val report : ?k:int -> t -> string
-(** Human-readable timing report: critical delay, max frequency, and the
-    [k] (default 3) worst paths with per-node arrivals. *)
 
 (** {1 Incremental re-analysis}
 
@@ -84,15 +72,6 @@ val trial_delay_ps :
     differ from the base.  Equals
     [critical_delay_ps (analyze lib modified_netlist)] exactly. *)
 
-val trial_critical :
-  trial ->
-  kind_of:(Sttc_netlist.Netlist.node_id -> Sttc_netlist.Netlist.kind) ->
-  Sttc_netlist.Netlist.node_id list ->
-  float * Sttc_netlist.Netlist.node_id list
-(** Like {!trial_delay_ps} but also returns the worst path (launch point
-    first, endpoint last), matching {!critical_path} on the modified
-    netlist exactly. *)
-
 (** {2 Persistent sessions}
 
     A selection loop evaluates a slowly-mutating replacement set: each
@@ -103,9 +82,8 @@ val trial_critical :
     just the delta, so per-query cost tracks the delta cone.  The caller
     owns the set bookkeeping: [kind_of] must describe the complete
     current speculative view, and [seeds] every node whose kind changed
-    since the previous call.  One-shot queries ({!trial_delay_ps},
-    {!trial_critical}) remain usable mid-session and are then relative
-    to the advanced state. *)
+    since the previous call.  One-shot queries ({!trial_delay_ps}) remain
+    usable mid-session and are then relative to the advanced state. *)
 
 val trial_advance :
   trial ->

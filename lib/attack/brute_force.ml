@@ -35,8 +35,7 @@ let bitstream_of_index luts arities index =
   in
   go luts arities index []
 
-let candidate_matches ~vectors ~rng oracle sim_template hybrid bitstream =
-  ignore sim_template;
+let candidate_matches ~vectors ~rng oracle hybrid bitstream =
   Sttc_util.Deadline.check ();
   let candidate = Hybrid.program_with hybrid bitstream in
   let sim = Sttc_sim.Simulator.create candidate in
@@ -63,7 +62,7 @@ let candidate_matches ~vectors ~rng oracle sim_template hybrid bitstream =
   done;
   !ok
 
-let run ?(max_bits = 18) ?(check_vectors = 512) ?(seed = 0xb0f) hybrid =
+let run ?(max_bits = 18) ?(seed = 0xb0f) hybrid =
   let t0 = Sttc_util.Deadline.now_s () in
   let bits = Hybrid.bitstream_bits hybrid in
   let space = search_space hybrid in
@@ -85,7 +84,7 @@ let run ?(max_bits = 18) ?(check_vectors = 512) ?(seed = 0xb0f) hybrid =
     let t1 = Sttc_util.Deadline.now_s () in
     for i = 0 to sample - 1 do
       ignore
-        (candidate_matches ~vectors:64 ~rng oracle () hybrid
+        (candidate_matches ~vectors:64 ~rng oracle hybrid
            (bitstream_of_index luts arities (Int64.of_int i)))
     done;
     let dt = Sttc_util.Deadline.now_s () -. t1 in
@@ -105,8 +104,7 @@ let run ?(max_bits = 18) ?(check_vectors = 512) ?(seed = 0xb0f) hybrid =
       else
         let bitstream = bitstream_of_index luts arities i in
         if
-          candidate_matches ~vectors:check_vectors ~rng oracle () hybrid
-            bitstream
+          candidate_matches ~vectors:512 ~rng oracle hybrid bitstream
           && Sat_attack.verify_break hybrid bitstream
         then Some (bitstream, i)
         else search (Int64.add i 1L)

@@ -22,16 +22,11 @@ type outcome =
 
 val run :
   ?max_bits:int ->
-  ?check_vectors:int ->
   ?seed:int ->
   Sttc_core.Hybrid.t ->
   outcome
 (** [max_bits] (default 18) caps the exhaustively searchable configuration
     size; larger hybrids return {!Infeasible} with a measured projection.
-    A candidate survives when [check_vectors] (default 512) random
-    combinational-view queries match the oracle; the first survivor is
-    confirmed by SAT equivalence (and search continues past false
-    positives). *)
-
-val search_space : Sttc_core.Hybrid.t -> Sttc_util.Lognum.t
-(** 2^(total config bits). *)
+    A candidate survives when 512 random combinational-view queries
+    match the oracle; the first survivor is confirmed by SAT equivalence
+    (and search continues past false positives). *)

@@ -67,12 +67,8 @@ module Config = struct
     }
 
   let with_sat_timeout_s sat_timeout_s t = { t with sat_timeout_s }
-  let with_seq_timeout_s seq_timeout_s t = { t with seq_timeout_s }
   let with_tt_budget tt_budget t = { t with tt_budget }
   let with_guess_rounds guess_rounds t = { t with guess_rounds }
-  let with_brute_max_bits brute_max_bits t = { t with brute_max_bits }
-  let with_seq_frames seq_frames t = { t with seq_frames }
-  let with_seed seed t = { t with seed }
   let with_jobs jobs t = { t with jobs }
   let with_solver_mode solver_mode t = { t with solver_mode }
 
@@ -128,9 +124,23 @@ module Config = struct
         let* tt_budget = int_field j "tt_budget" default.tt_budget in
         let* guess_rounds = int_field j "guess_rounds" default.guess_rounds in
         let* brute_max_bits =
-          int_field j "brute_max_bits" default.brute_max_bits
+          let* n = int_field j "brute_max_bits" default.brute_max_bits in
+          (* the brute-force search enumerates 2^bits candidates in an
+             Int64 index *)
+          if n < 0 || n > 62 then
+            Error
+              (Printf.sprintf
+                 "harness config: \"brute_max_bits\" must be in 0..62, not %d" n)
+          else Ok n
         in
-        let* seq_frames = int_field j "seq_frames" default.seq_frames in
+        let* seq_frames =
+          let* n = int_field j "seq_frames" default.seq_frames in
+          if n < 1 then
+            Error
+              (Printf.sprintf
+                 "harness config: \"seq_frames\" must be at least 1, not %d" n)
+          else Ok n
+        in
         let* seed = int_field j "seed" default.seed in
         let* jobs = int_field j "jobs" default.jobs in
         let* solver_mode =

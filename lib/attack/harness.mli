@@ -32,9 +32,9 @@ type campaign = {
 (** The typed campaign configuration — the one schema the CLI, the
     campaign runner and the serve daemon all construct, mirroring
     {!Sttc_experiments.Runner.Config}: a record with a [default] value
-    and [with_*] setters, plus a JSON codec on {!Sttc_obs.Json} so the
-    same fields parse from a manifest, a command line or a serve
-    request. *)
+    and [with_*] setters for the fields callers set, plus a JSON codec
+    on {!Sttc_obs.Json} so the same fields parse from a manifest, a
+    command line or a serve request. *)
 module Config : sig
   type t = {
     sat_timeout_s : float;  (** wall budget per attack (default 30) *)
@@ -52,12 +52,8 @@ module Config : sig
   val default : t
 
   val with_sat_timeout_s : float -> t -> t
-  val with_seq_timeout_s : float option -> t -> t
   val with_tt_budget : int -> t -> t
   val with_guess_rounds : int -> t -> t
-  val with_brute_max_bits : int -> t -> t
-  val with_seq_frames : int -> t -> t
-  val with_seed : int -> t -> t
   val with_jobs : int -> t -> t
   val with_solver_mode : Sat_attack.solver_mode -> t -> t
 
@@ -66,7 +62,8 @@ module Config : sig
       [solver_mode] as ["incremental"] / ["scratch"]. *)
 
   val of_json : Sttc_obs.Json.t -> (t, string) result
-  (** Any object whose present fields are well-typed; missing fields
+  (** Any object whose present fields are well-typed and in range
+      ([seq_frames >= 1], [brute_max_bits] in [0..62]); missing fields
       take their {!default}s, so [{}] parses to [default]. *)
 end
 
@@ -118,9 +115,7 @@ val attack :
     run unchanged.  The recovered bitstream is still verified against
     the real oracle either way. *)
 
-val verdict_string : verdict -> string
-(** ["RECOVERED"], ["partial NN%"] or ["resisted"] — the rendering used
-    by {!pp_campaign} and {!to_table}. *)
-
 val pp_campaign : Format.formatter -> campaign -> unit
 val to_table : campaign list -> string
+(** Both render a verdict as ["RECOVERED"], ["partial NN%"] or
+    ["resisted"]. *)

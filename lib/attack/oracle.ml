@@ -9,7 +9,8 @@ type t = {
   mutable count : int;
 }
 
-let of_netlist nl =
+let create hybrid =
+  let nl = Sttc_core.Hybrid.programmed hybrid in
   let sim = Simulator.create nl in
   {
     nl;
@@ -18,16 +19,6 @@ let of_netlist nl =
     n_dffs = List.length (Netlist.dffs nl);
     count = 0;
   }
-
-let create hybrid = of_netlist (Sttc_core.Hybrid.programmed hybrid)
-
-let input_names t =
-  List.map (Netlist.name t.nl) (Netlist.pis t.nl)
-  @ List.map (Netlist.name t.nl) (Netlist.dffs t.nl)
-
-let output_names t =
-  Array.to_list (Array.map fst (Netlist.outputs t.nl))
-  @ List.map (Netlist.name t.nl) (Netlist.dffs t.nl)
 
 let query_lanes t inputs =
   if Array.length inputs <> t.n_pis + t.n_dffs then

@@ -14,17 +14,9 @@ type t
 val create : Sttc_core.Hybrid.t -> t
 (** Builds the oracle from the secret programmed view. *)
 
-val of_netlist : Sttc_netlist.Netlist.t -> t
-(** From any fully-programmed netlist (for tests). *)
-
-val input_names : t -> string list
-(** PIs then flip-flop names — the assignment order for {!query}. *)
-
-val output_names : t -> string list
-(** PO names then flip-flop names (next-state outputs). *)
-
 val query : t -> bool array -> bool array
-(** One combinational-view evaluation.  Increments the counter. *)
+(** One combinational-view evaluation: PIs then flip-flop values in,
+    POs then next-state values out.  Increments the counter. *)
 
 val query_lanes : t -> int64 array -> int64 array
 (** 64 parallel queries (counts as 64). *)

@@ -152,8 +152,8 @@ type miter = {
 
 (* The DIP loop both attacks share, under the attack's wall-clock
    budget.  [setup ()] builds the miter inside the budget, like the
-   loop. *)
-let dip_loop ~max_iterations ~max_conflicts_per_call ~timeout_s oracle setup =
+   loop.  Each solver call gets at most 200k conflicts. *)
+let dip_loop ~max_iterations ~timeout_s oracle setup =
   let t0 = Deadline.now_s () in
   let iterations = ref 0 in
   let stats = ref (fun () -> Sat.zero_stats) in
@@ -176,8 +176,7 @@ let dip_loop ~max_iterations ~max_conflicts_per_call ~timeout_s oracle setup =
           Sttc_obs.Span.with_ "sat.dip_iteration" ~cat:"attack"
             ~attrs:[ ("iteration", string_of_int (!iterations + 1)) ]
             (fun () ->
-              m.solve ~assumptions:[ m.act ]
-                ~max_conflicts:max_conflicts_per_call ())
+              m.solve ~assumptions:[ m.act ] ~max_conflicts:200_000 ())
         with
         | Sat.Unknown _ -> exhausted "conflict budget"
         | Sat.Unsat -> (
@@ -209,12 +208,11 @@ let dip_loop ~max_iterations ~max_conflicts_per_call ~timeout_s oracle setup =
   | Ok outcome -> outcome
   | Error `Expired -> exhausted "timeout"
 
-let run ?(max_iterations = 2000) ?(max_conflicts_per_call = 200_000)
-    ?(timeout_s = 60.) ?(candidates = []) ?(mode = Incremental) ?solver hybrid
-    =
+let run ?(max_iterations = 2000) ?(timeout_s = 60.) ?(candidates = [])
+    ?(mode = Incremental) ?solver hybrid =
   let foundry = Hybrid.foundry_view hybrid in
   let oracle = Oracle.create hybrid in
-  dip_loop ~max_iterations ~max_conflicts_per_call ~timeout_s oracle
+  dip_loop ~max_iterations ~timeout_s oracle
   @@ fun () ->
   (* Copy 1 and copy 2 share inputs, have independent keys. *)
   let c1 = Encode.encode foundry in
@@ -271,12 +269,11 @@ let verify_break hybrid bitstream =
   | Sttc_sim.Equiv.Equivalent -> true
   | _ -> false
 
-let run_sequential ?(frames = 5) ?(max_iterations = 500)
-    ?(max_conflicts_per_call = 200_000) ?(timeout_s = 60.) ?(candidates = [])
-    ?(mode = Incremental) ?solver hybrid =
+let run_sequential ?(frames = 5) ?(max_iterations = 500) ?(timeout_s = 60.)
+    ?(candidates = []) ?(mode = Incremental) ?solver hybrid =
   let foundry = Hybrid.foundry_view hybrid in
   let oracle = Oracle.create hybrid in
-  dip_loop ~max_iterations ~max_conflicts_per_call ~timeout_s oracle
+  dip_loop ~max_iterations ~timeout_s oracle
   @@ fun () ->
   let c1 = Encode.encode_unrolled ~frames foundry in
   let cnf = c1.Encode.u_cnf in

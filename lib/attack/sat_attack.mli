@@ -47,7 +47,6 @@ type outcome =
 
 val run :
   ?max_iterations:int ->
-  ?max_conflicts_per_call:int ->
   ?timeout_s:float ->
   ?candidates:(Sttc_netlist.Netlist.node_id * Sttc_logic.Truth.t list) list ->
   ?mode:solver_mode ->
@@ -89,7 +88,6 @@ val verify_break :
 val run_sequential :
   ?frames:int ->
   ?max_iterations:int ->
-  ?max_conflicts_per_call:int ->
   ?timeout_s:float ->
   ?candidates:(Sttc_netlist.Netlist.node_id * Sttc_logic.Truth.t list) list ->
   ?mode:solver_mode ->

@@ -25,8 +25,11 @@ type result = {
   seconds : float;
 }
 
-let run ?(budget_patterns = 20_000) ?(targeted = false) ?(target_attempts = 4)
-    ?(seed = 0xa77ac) hybrid =
+(* SAT proposals per unresolved row in the targeted phase *)
+let target_attempts = 4
+
+let run ?(budget_patterns = 20_000) ?(targeted = false) ?(seed = 0xa77ac)
+    hybrid =
   let t0 = Sttc_util.Deadline.now_s () in
   let foundry = Hybrid.foundry_view hybrid in
   let oracle = Oracle.create hybrid in
@@ -78,8 +81,6 @@ let run ?(budget_patterns = 20_000) ?(targeted = false) ?(target_attempts = 4)
     in
     go 0 0
   in
-  let out_count = List.length (Oracle.output_names oracle) in
-  ignore out_count;
   let patterns = ref 0 in
   while !patterns < budget_patterns do
     Sttc_util.Deadline.check ();
@@ -343,11 +344,3 @@ let run ?(budget_patterns = 20_000) ?(targeted = false) ?(target_attempts = 4)
     oracle_queries = Oracle.queries oracle;
     seconds = Sttc_util.Deadline.now_s () -. t0;
   }
-
-let pp_result fmt r =
-  Format.fprintf fmt
-    "tt-attack: %d/%d LUTs fully resolved, %.1f%% of rows (%.1f%% functional), \
-     %d patterns, %d oracle queries, %.2fs"
-    r.fully_resolved r.lut_count (100. *. r.resolution)
-    (100. *. r.functional_resolution) r.patterns_tried r.oracle_queries
-    r.seconds

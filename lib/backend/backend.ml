@@ -4,7 +4,6 @@ module Lognum = Sttc_util.Lognum
 
 type t = {
   name : string;
-  description : string;
   lut_style : Sttc_tech.Library.lut_style;
   cell_noun : string;
   candidates : (int -> Truth.t list) option;
@@ -15,11 +14,7 @@ type t = {
 }
 
 let name t = t.name
-let description t = t.description
 let restricted t = t.candidates <> None
-
-let candidate_tables t ~arity =
-  match t.candidates with None -> None | Some f -> Some (f arity)
 
 let cell_keyspace t ~arity =
   if arity < 1 || arity > Truth.max_arity then
@@ -38,7 +33,6 @@ let search_space t ~arities =
 let stt =
   {
     name = "stt";
-    description = "non-volatile STT-MRAM LUTs (the paper's technology)";
     lut_style = Sttc_tech.Library.Stt;
     cell_noun = "MTJ";
     (* a LUT realizes any function of its inputs: no candidate
@@ -53,7 +47,6 @@ let stt =
 let tvd =
   {
     name = "tvd";
-    description = "threshold-voltage-defined camouflaged cells";
     lut_style = Sttc_tech.Library.Tvd;
     cell_noun = "TVD";
     (* one TVD layout realizes exactly the meaningful-gate family of its
@@ -97,5 +90,3 @@ let sat_candidates t nl luts =
           | Sttc_netlist.Netlist.Lut { arity; _ } -> (id, f arity)
           | _ -> invalid_arg "Backend.sat_candidates: not a LUT node")
         luts
-
-let pp fmt t = Format.fprintf fmt "%s (%s)" t.name t.description

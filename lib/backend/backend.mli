@@ -23,7 +23,6 @@
 
 type t = {
   name : string;  (** CLI / JSON identifier, e.g. ["stt"] *)
-  description : string;
   lut_style : Sttc_tech.Library.lut_style;
       (** the technology entry used to price the hybrid in {!Ppa} *)
   cell_noun : string;
@@ -41,22 +40,16 @@ type t = {
 }
 
 val name : t -> string
-val description : t -> string
 
 val restricted : t -> bool
 (** True when the backend constrains the unknown function to a known
     candidate family (e.g. TVD). *)
 
-val candidate_tables : t -> arity:int -> Sttc_logic.Truth.t list option
-(** The candidate truth tables of one cell, when restricted. *)
-
-val cell_keyspace : t -> arity:int -> Sttc_util.Lognum.t
-(** Number of distinct configurations of one cell: [2^2^n] for a free
-    backend, the candidate-family size for a restricted one. *)
-
 val search_space : t -> arities:int list -> Sttc_util.Lognum.t
-(** Product of {!cell_keyspace} over the protected cells — the brute
-    force keyspace an attacker faces. *)
+(** Product over the protected cells of one cell's configuration count
+    ([2^2^n] for a free backend, the candidate-family size for a
+    restricted one) — the brute force keyspace an attacker faces.
+    Raises [Invalid_argument] on an arity outside [1..Truth.max_arity]. *)
 
 (** {2 Registry} *)
 
@@ -65,12 +58,11 @@ val stt : t
     defaults, so flows run under [stt] are byte-identical to the
     historical STT-LUT path. *)
 
-val tvd : t
-(** Threshold-voltage-defined camouflaged cells ({!Sttc_tech.Tvd_lib}):
-    near-CMOS delay/area, activity-dependent power, and a per-cell
-    keyspace equal to the meaningful-gate family of its fan-in. *)
-
 val all : t list
+(** [stt], then ["tvd"]: threshold-voltage-defined camouflaged cells
+    ({!Sttc_tech.Tvd_lib}) with near-CMOS delay/area, activity-dependent
+    power, and a per-cell keyspace equal to the meaningful-gate family
+    of its fan-in. *)
 
 val find : string -> t option
 (** Look a backend up by {!name}. *)
@@ -94,5 +86,3 @@ val sat_candidates :
 (** The per-LUT candidate lists for [Sat_attack]'s [~candidates]
     restriction, read off the foundry view's LUT arities.  Empty for an
     unrestricted backend. *)
-
-val pp : Format.formatter -> t -> unit

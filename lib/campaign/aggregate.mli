@@ -49,9 +49,7 @@ val write : dir:string -> t -> (unit, string) result
     {!validate} the JSON from disk — the report the campaign claims to
     have produced is the one that parses back. *)
 
-val merge_metrics : dir:string -> Manifest.t -> Sttc_obs.Metrics.snapshot
-(** Every readable shard metrics snapshot merged with the calling
-    process's current registry. *)
-
 val write_metrics : dir:string -> Manifest.t -> unit
-(** {!merge_metrics} exported to [campaign.metrics.json] (atomic). *)
+(** Every readable shard metrics snapshot merged with the calling
+    process's current registry, exported to [campaign.metrics.json]
+    (atomic). *)

@@ -63,15 +63,16 @@ val assign : Manifest.t -> shard:int -> Manifest.run list
 (** The runs of one shard, in canonical order.  Raises
     [Invalid_argument] when [shard] is out of range. *)
 
-(** {1 Layout} *)
+(** {1 Layout}
+
+    Every per-shard file is [DIR/shards/shard-K.EXT]: [ckpt] (the
+    checkpoint), [done] (the result container), [hb], [metrics.json] and
+    [attempt-A.log]. *)
 
 val manifest_path : string -> string
-val shards_dir : string -> string
 val report_json_path : string -> string
 val report_text_path : string -> string
 val campaign_metrics_path : string -> string
-val checkpoint_path : dir:string -> int -> string
-val result_path : dir:string -> int -> string
 val heartbeat_path : dir:string -> int -> string
 val metrics_path : dir:string -> int -> string
 val log_path : dir:string -> shard:int -> attempt:int -> string

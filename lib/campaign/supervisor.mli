@@ -57,8 +57,6 @@ type outcome = {
   degraded : int;
 }
 
-val all_complete : outcome -> bool
-
 (** How to run one shard attempt. *)
 type worker =
   | Spawn of (dir:string -> shard:int -> attempt:int -> string array)
@@ -98,10 +96,6 @@ val config :
 (** Defaults: [jobs = 2], manifest retries, [backoff_base_s = 0.25],
     [backoff_cap_s = 10.], [poll_interval_s = 0.05],
     [worker = default_spawn], events dropped. *)
-
-val backoff_s : config -> attempt:int -> float
-(** The delay inserted before retry number [attempt] (the attempt that
-    is about to run, >= 2). *)
 
 val run : config -> outcome
 (** Drive every shard to [Complete] or [Exhausted].  Shards whose

@@ -14,8 +14,7 @@ let independent ~rng ?(count = 5) ctx =
   in
   Array.to_list (Rng.sample rng count candidates)
 
-let dependent ~rng ctx =
-  ignore rng;
+let dependent ctx =
   (* Algorithm 1: the deepest non-critical I/O path; all gates of its
      composing timing paths become reconfigurable units. *)
   match ctx.Select.paths with
@@ -179,5 +178,3 @@ let parametric_with_meta ~rng ?(options = default_parametric) ctx =
     }
   in
   (Int_set.elements !replaced, meta)
-
-let parametric ~rng ?options ctx = fst (parametric_with_meta ~rng ?options ctx)

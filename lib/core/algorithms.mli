@@ -11,8 +11,7 @@ val independent :
     the paths provide too few candidates; returns fewer than [count] only
     when the circuit itself is smaller. *)
 
-val dependent :
-  rng:Sttc_util.Rng.t -> Select.context -> Sttc_netlist.Netlist.node_id list
+val dependent : Select.context -> Sttc_netlist.Netlist.node_id list
 (** Dependent selection (Algorithm 1): take the deepest sampled
     non-critical I/O path and replace {e all} gates on its composing
     timing paths, so that missing gates feed missing gates. *)
@@ -48,16 +47,10 @@ val parametric_with_meta :
   ?options:parametric_options ->
   Select.context ->
   Sttc_netlist.Netlist.node_id list * parametric_meta
-(** Like {!parametric} but also returns the selection metadata consumed
-    by the {!Sttc_lint.Security_rules} pack. *)
-
-val parametric :
-  rng:Sttc_util.Rng.t ->
-  ?options:parametric_options ->
-  Select.context ->
-  Sttc_netlist.Netlist.node_id list
 (** Parametric-aware dependent selection (Algorithm 2): per chosen timing
     path, draw random fan-in >= 2 gates and re-draw smaller subsets while
     the timing constraint is violated; every unselected gate of the path
     goes to the USL, and afterwards each gate driving or driven by a USL
-    gate — but itself not on the chosen I/O paths — is also replaced. *)
+    gate — but itself not on the chosen I/O paths — is also replaced.
+    Returns the selection with the metadata consumed by the
+    {!Sttc_lint.Security_rules} pack. *)

@@ -3,8 +3,8 @@ module Gate_fn = Sttc_logic.Gate_fn
 module Lognum = Sttc_util.Lognum
 module Rng = Sttc_util.Rng
 
+(* NAND2, NOR2, XNOR2: 3 per cell, vs 6 per 2-input STT LUT *)
 let candidate_functions = [ Gate_fn.Nand 2; Gate_fn.Nor 2; Gate_fn.Xnor 2 ]
-let candidates_per_cell = List.length candidate_functions
 
 type t = {
   hybrid : Hybrid.t;
@@ -38,7 +38,7 @@ let cell_count t = List.length t.cells
 let hybrid t = t.hybrid
 
 let search_space t =
-  Lognum.pow (Lognum.of_int candidates_per_cell) (cell_count t)
+  Lognum.pow (Lognum.of_int (List.length candidate_functions)) (cell_count t)
 
 let sat_candidates t =
   let tables = List.map Gate_fn.truth candidate_functions in

@@ -112,7 +112,7 @@ let protect ?(seed = 1) ?(library = Sttc_tech.Library.cmos90)
           match algorithm with
           | Independent { count } ->
               (Algorithms.independent ~rng ~count ctx, None)
-          | Dependent -> (Algorithms.dependent ~rng ctx, None)
+          | Dependent -> (Algorithms.dependent ctx, None)
           | Parametric options ->
               let gates, meta =
                 Algorithms.parametric_with_meta ~rng ~options ctx

@@ -96,18 +96,15 @@ val run :
     on this exact netlist value, so it can never change results — only
     skip the base [Sta.analyze]. *)
 
-val lint_view :
-  ?library:Sttc_tech.Library.t -> result -> Sttc_lint.Security_rules.view
-(** The security-lint view of a protect result: foundry netlist, LUT
-    ids, algorithm tag, parametric metadata, original netlist and clock
-    budget (the parametric [clock_factor], 1.08 otherwise). *)
-
 val lint_security :
   ?library:Sttc_tech.Library.t ->
   ?only:string list ->
   result ->
   Sttc_lint.Diagnostic.t list
-(** Run the {!Sttc_lint.Security_rules} pack on {!lint_view}. *)
+(** Run the {!Sttc_lint.Security_rules} pack on the security-lint view of
+    a protect result: foundry netlist, LUT ids, algorithm tag, parametric
+    metadata, original netlist and clock budget (the parametric
+    [clock_factor], 1.08 otherwise). *)
 
 val sign_off : ?method_:[ `Random of int | `Sat | `Bdd ] -> result -> bool
 (** Programmed hybrid equivalent to the original? *)

@@ -26,9 +26,6 @@ module Config = struct
   let default =
     { quick = false; seed = master_seed; only = None; jobs = 1; backend = "stt" }
 
-  let with_quick quick t = { t with quick }
-  let with_seed seed t = { t with seed }
-  let with_only names t = { t with only = Some names }
   let with_jobs jobs t = { t with jobs }
 end
 

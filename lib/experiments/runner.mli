@@ -15,9 +15,8 @@ val master_seed : int
 (** {1 Configuration}
 
     The driver's knobs as one value instead of a growing pile of
-    optional arguments.  Build one with {!Config.default} and the
-    [with_*] setters:
-    {[ Config.(default |> with_quick true |> with_jobs 4) ]} *)
+    optional arguments.  Build one from {!Config.default}:
+    {[ { Config.default with quick = true; jobs = 4 } ]} *)
 
 module Config : sig
   type t = {
@@ -36,9 +35,6 @@ module Config : sig
   (** quick=false, seed={!master_seed}, no restriction, jobs=1,
       backend="stt". *)
 
-  val with_quick : bool -> t -> t
-  val with_seed : int -> t -> t
-  val with_only : string list -> t -> t
   val with_jobs : int -> t -> t
 end
 

@@ -6,9 +6,6 @@ type spec = {
   escalation_gain : float;
 }
 
-let ideal =
-  { write_error_rate = 0.; stuck_cell_rate = 0.; escalation_gain = 10. }
-
 let default_faulty =
   { write_error_rate = 1e-3; stuck_cell_rate = 0.; escalation_gain = 10. }
 
@@ -79,7 +76,6 @@ let read ch ~lut ~cell =
   ch.verify_reads <- ch.verify_reads + 1;
   (cell_state ch ~lut ~cell).value
 
-let is_stuck ch ~lut ~cell = (cell_state ch ~lut ~cell).stuck
 let attempts ch = ch.attempts
 let energy_units ch = ch.energy_units
 let verify_reads ch = ch.verify_reads

@@ -28,20 +28,15 @@ type spec = {
           factor (a higher write current). *)
 }
 
-val ideal : spec
-(** Error-free writes: every attempt stores the target value. *)
-
-val default_faulty : spec
-(** A pessimistic but realistic corner: [write_error_rate = 1e-3],
-    [stuck_cell_rate = 0.], [escalation_gain = 10.]. *)
-
 val spec :
   ?write_error_rate:float ->
   ?stuck_cell_rate:float ->
   ?escalation_gain:float ->
   unit ->
   spec
-(** {!default_faulty} with overrides.  Raises [Invalid_argument] on rates
+(** A pessimistic but realistic corner by default
+    ([write_error_rate = 1e-3], [stuck_cell_rate = 0.],
+    [escalation_gain = 10.]).  Raises [Invalid_argument] on rates
     outside [0, 1] or a gain below 1. *)
 
 type channel
@@ -60,10 +55,6 @@ val write :
 
 val read : channel -> lut:string -> cell:int -> bool
 (** Current cell content (as-fabricated value if never written). *)
-
-val is_stuck : channel -> lut:string -> cell:int -> bool
-(** Whether the cell is permanently stuck (diagnosis, not part of the
-    attacker-visible interface). *)
 
 val attempts : channel -> int
 (** Total write attempts issued so far. *)

@@ -8,7 +8,6 @@ module Rng = Sttc_util.Rng
 let infinite = 1_000_000
 
 type t = {
-  nl : Netlist.t;
   const : Ternary.v array;
   tainted : bool array;
   stuck : Ternary.v array;
@@ -19,7 +18,6 @@ type t = {
   live : bool array;
   summary : Query.cone_summary;
   seq_depth : int array;
-  patterns : int;
 }
 
 (* saturating arithmetic in the SCOAP cost domain *)
@@ -265,10 +263,11 @@ let compute_live nl order const =
 
 (* ---------- entry point ---------- *)
 
-let max_patterns = 30 (* 2 bits per pattern must fit an OCaml int *)
+(* random known-source simulations feeding the signatures; 2 bits per
+   pattern must fit an OCaml int, so at most 30 *)
+let patterns = 24
 
-let compute ?(patterns = 24) ?(seed = 0xda7a) nl =
-  let patterns = max 1 (min patterns max_patterns) in
+let compute nl =
   Netlist.warm nl;
   let order = Netlist.topo_order nl in
   let n = Netlist.node_count nl in
@@ -277,7 +276,7 @@ let compute ?(patterns = 24) ?(seed = 0xda7a) nl =
   Sttc_util.Deadline.check ();
   let tainted = compute_taint nl order in
   (* random known-source sampling: signatures and stuck-at candidates *)
-  let rng = Rng.make seed in
+  let rng = Rng.make 0xda7a in
   let signature = Array.make n 0 in
   let stuck = Array.make n Ternary.X in
   let varied = Array.make n false in
@@ -305,7 +304,6 @@ let compute ?(patterns = 24) ?(seed = 0xda7a) nl =
   let summary = Query.cone_summary nl in
   let seq_depth = Query.sequential_depth_to_po nl in
   {
-    nl;
     const;
     tainted;
     stuck;
@@ -316,10 +314,8 @@ let compute ?(patterns = 24) ?(seed = 0xda7a) nl =
     live;
     summary;
     seq_depth;
-    patterns;
   }
 
-let netlist t = t.nl
 let const t id = t.const.(id)
 let tainted t id = t.tainted.(id)
 let stuck t id = t.stuck.(id)
@@ -330,4 +326,3 @@ let co t id = t.co.(id)
 let live t id = t.live.(id)
 let summary t = t.summary
 let seq_depth t id = t.seq_depth.(id)
-let patterns t = t.patterns

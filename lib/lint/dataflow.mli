@@ -25,12 +25,9 @@ val infinite : int
 (** Saturation value of the SCOAP cost domain (uncontrollable /
     unobservable). *)
 
-val compute : ?patterns:int -> ?seed:int -> Sttc_netlist.Netlist.t -> t
-(** Run every analysis once.  [patterns] (default 24, capped at 30)
-    random known-source simulations feed the signatures; [seed] makes
-    them deterministic per run. *)
-
-val netlist : t -> Sttc_netlist.Netlist.t
+val compute : Sttc_netlist.Netlist.t -> t
+(** Run every analysis once.  24 random known-source simulations, from a
+    fixed seed, feed the signatures. *)
 
 val const : t -> Sttc_netlist.Netlist.node_id -> Sttc_logic.Ternary.v
 (** Known iff constant propagation alone forces the node's value. *)
@@ -65,6 +62,3 @@ val summary : t -> Sttc_netlist.Query.cone_summary
 val seq_depth : t -> Sttc_netlist.Netlist.node_id -> int
 (** [D_i] of Eqs. 1–2: flip-flops between the node and the nearest
     primary output ([max_int] when unreachable). *)
-
-val patterns : t -> int
-(** Number of random samples actually used. *)

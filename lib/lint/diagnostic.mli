@@ -11,9 +11,6 @@ type severity = Error | Warning | Info
 val severity_name : severity -> string
 (** ["error"] / ["warning"] / ["info"]. *)
 
-val severity_rank : severity -> int
-(** [Error] = 0 (worst) .. [Info] = 2; used for sorting. *)
-
 type t = {
   rule : string;  (** stable ID, e.g. "STR001" *)
   alias : string;  (** slug, e.g. "comb-loop" *)
@@ -35,15 +32,13 @@ val compare : t -> t -> int
 val errors : t list -> int
 (** Count of error-severity diagnostics. *)
 
-val matches_rule : string -> t -> bool
-(** Case-insensitive match against the rule ID or the alias. *)
-
 val filter_rules : only:string list -> t list -> t list
-(** Keep only diagnostics whose rule ID or alias is listed; an empty
-    list keeps everything. *)
+(** Keep only diagnostics whose rule ID or alias is listed
+    (case-insensitively); an empty list keeps everything. *)
 
 val suppress : rules:string list -> t list -> t list
-(** Drop diagnostics whose rule ID or alias is listed. *)
+(** Drop diagnostics whose rule ID or alias is listed
+    (case-insensitively). *)
 
 (** {1 Baselines}
 
@@ -61,9 +56,6 @@ val baseline_of_string : string -> baseline
 val apply_baseline : baseline -> t list -> t list
 
 (** {1 Rendering} *)
-
-val pp : Format.formatter -> t -> unit
-(** One line: [severity RULE(alias) at node: detail]. *)
 
 val to_text : t -> string
 

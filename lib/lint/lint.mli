@@ -8,16 +8,14 @@
       exit (Lint.exit_code ds)
     ]} *)
 
-val catalog : Structural.rule list
-(** Every rule of all three packs — structural, security, semantic — in
-    ID order within each pack. *)
-
 val find_rule : string -> Structural.rule option
 (** Look up by ID or alias, case-insensitively; covers STR, SEC and SEM
     rules alike. *)
 
 val catalog_text : unit -> string
-(** Human-readable rule listing for [--list-rules], grouped by pack. *)
+(** Human-readable listing of every rule of all three packs —
+    structural, security, semantic — for [--list-rules], grouped by pack
+    in ID order. *)
 
 val structural :
   ?only:string list ->
@@ -25,11 +23,6 @@ val structural :
   Sttc_netlist.Netlist.t ->
   Diagnostic.t list
 (** The structural pack on a netlist ({!Structural.check}). *)
-
-val hybrid :
-  ?only:string list -> Security_rules.view -> Diagnostic.t list
-(** Both packs on a hybrid: structural rules on the foundry view plus
-    the security pack on the view. *)
 
 val semantic :
   ?only:string list -> Semantic_rules.view -> Diagnostic.t list

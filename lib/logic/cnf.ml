@@ -20,13 +20,11 @@ let check_lit t l =
   let v = abs l in
   if v = 0 || v > t.nvars then invalid_arg "Cnf: literal out of range"
 
-let add_clause_a t c =
+let add_clause t lits =
+  let c = Array.of_list lits in
   Array.iter (check_lit t) c;
   ignore (Sttc_util.Growable.push t.clauses c)
 
-let add_clause t lits = add_clause_a t (Array.of_list lits)
-
-let clauses t = Sttc_util.Growable.to_list t.clauses
 let clause t i = Sttc_util.Growable.get t.clauses i
 let iter_clauses f t = Sttc_util.Growable.iter f t.clauses
 

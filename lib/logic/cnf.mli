@@ -24,11 +24,6 @@ val add_clause : t -> lit list -> unit
 (** Raises [Invalid_argument] if a literal references variable 0 or an
     unallocated variable. *)
 
-val add_clause_a : t -> clause -> unit
-
-val clauses : t -> clause list
-(** In insertion order. *)
-
 val clause : t -> int -> clause
 (** [clause t i] is the [i]th clause added (0-based).  The returned array
     is the stored clause: callers must not mutate it.  This is the cursor
@@ -40,10 +35,6 @@ val iter_clauses : (clause -> unit) -> t -> unit
 (* --- Tseitin gate encodings: the output literal is constrained to equal
    the gate function of the input literals. --- *)
 
-val encode_not : t -> lit -> lit -> unit
-(** [encode_not t out a]: out = NOT a. *)
-
-val encode_buf : t -> lit -> lit -> unit
 val encode_and : t -> lit -> lit list -> unit
 val encode_or : t -> lit -> lit list -> unit
 val encode_xor : t -> lit -> lit -> lit -> unit

@@ -69,17 +69,11 @@ let of_bench_name s ~arity:n =
   | "XNOR", n when n >= 2 -> Some (Xnor n)
   | _ -> None
 
-let equal a b = a = b
-let compare = Stdlib.compare
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-
 let all_of_arity n =
   if n = 1 then [ Buf; Not ]
   else if n >= 2 && n <= Truth.max_arity then
     [ And n; Nand n; Or n; Nor n; Xor n; Xnor n ]
   else invalid_arg "Gate_fn.all_of_arity"
-
-let similarity a b = Truth.agreement (truth a) (truth b)
 
 let average_similarity n =
   let gates = Array.of_list (all_of_arity n) in
@@ -90,7 +84,7 @@ let average_similarity n =
         (fun j b ->
           if j > i then begin
             incr count;
-            total := !total + similarity a b
+            total := !total + Truth.agreement (truth a) (truth b)
           end)
         gates)
     gates;

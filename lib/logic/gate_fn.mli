@@ -44,25 +44,16 @@ val of_bench_name : string -> arity:int -> t option
 (** Parse a [.bench] keyword (["AND"], ["NOT"], ["BUFF"], ...); [None] for
     unknown keywords (e.g. ["DFF"], which is not a combinational gate). *)
 
-val equal : t -> t -> bool
-val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit
-
 val all_of_arity : int -> t list
 (** The "meaningful" gate set of a given arity, as counted by the paper:
     for arity 2 the six gates AND, NAND, OR, NOR, XOR, XNOR; for arity 1
     [Buf; Not]. *)
 
-val similarity : t -> t -> int
-(** Rows of agreement of the two gates' truth tables (paper Section IV-A:
-    AND2/NOR2 -> 2, AND2/NAND2 -> 0).  Raises [Invalid_argument] when
-    arities differ. *)
-
-val average_similarity : int -> float
-(** Mean pairwise similarity over the meaningful set of the arity. *)
-
 val computed_alpha : int -> float
-(** [average_similarity n + 1.]: expected patterns to single a gate out. *)
+(** One plus the mean pairwise similarity ({!Truth.agreement} of the two
+    truth tables; paper Section IV-A: AND2/NOR2 -> 2, AND2/NAND2 -> 0)
+    over the meaningful set of arity [n]: expected patterns to single a
+    gate out. *)
 
 val paper_alpha : int -> float
 (** The constants published in the paper: 2.45, 4.2, 7.4 for arities

@@ -162,8 +162,6 @@ module Solver = struct
       s_restarts = 0;
     }
 
-  let nvars s = s.nvars
-
   let stats s =
     {
       decisions = s.s_decisions;
@@ -571,15 +569,6 @@ module Solver = struct
         | m -> ignore (attach_clause s (Array.sub out 0 m) ~learnt:false ~lbd:0)
     end
 
-  let add_clause s lits =
-    List.iter
-      (fun l ->
-        if l = 0 then invalid_arg "Sat.Solver.add_clause: literal 0";
-        ensure_vars s (abs l))
-      lits;
-    backtrack s 0;
-    add_root s (Array.of_list (List.map lit_index lits))
-
   let sync s cnf =
     backtrack s 0;
     ensure_vars s (Cnf.nvars cnf);
@@ -736,15 +725,6 @@ end
 
 let solve ?assumptions ?max_conflicts cnf =
   Solver.solve ?assumptions ?max_conflicts (Solver.of_cnf cnf)
-
-let is_satisfiable cnf =
-  match solve cnf with
-  | Sat _ -> true
-  | Unsat -> false
-  | Unknown _ ->
-      (* without [max_conflicts] a solve never gives up; an expired
-         deadline raises instead of answering *)
-      assert false
 
 let model_value model v =
   if v <= 0 || v >= Array.length model then

@@ -57,13 +57,6 @@ module Solver : sig
       variables.  A solver tracks one growing formula: always [sync]
       against the same [Cnf.t]. *)
 
-  val add_clause : t -> Cnf.lit list -> unit
-  (** Append one clause directly (variables are allocated on demand).
-      Like [sync], this may backtrack the solver to decision level 0. *)
-
-  val ensure_vars : t -> int -> unit
-  (** Make variables [1..n] available. *)
-
   val reset : t -> unit
   (** Return the solver to the empty-formula state of {!create} while
       keeping every allocated array, so the arena can be recycled
@@ -74,8 +67,6 @@ module Solver : sig
       {!stats} all restart from zero, so a recycled solver recovers
       byte-identical answers to a newly created one.  After [reset]
       the solver may be {!sync}ed against a different [Cnf.t]. *)
-
-  val nvars : t -> int
 
   val solve : ?assumptions:Cnf.lit list -> ?max_conflicts:int -> t -> result
   (** Decide satisfiability of the accumulated clauses under
@@ -112,10 +103,6 @@ val last_stats : unit -> stats
 (** Statistics of the most recent solve call on the current domain —
     per-call deltas, domain-local so parallel solver tasks do not
     race. *)
-
-val is_satisfiable : Cnf.t -> bool
-(** Convenience wrapper (unbudgeted, so never {!Unknown}; raises
-    {!Sttc_util.Deadline.Expired} past the domain's deadline). *)
 
 val model_value : bool array -> int -> bool
 (** [model_value model v] reads variable [v] from a {!Sat} model. *)

@@ -1,7 +1,6 @@
 type v = Zero | One | X
 
 let of_bool b = if b then One else Zero
-let to_bool = function Zero -> Some false | One -> Some true | X -> None
 let is_known = function X -> false | Zero | One -> true
 
 let lnot = function Zero -> One | One -> Zero | X -> X
@@ -67,13 +66,3 @@ let eval_truth table inputs =
   else match !out with None -> X | Some v -> of_bool v
 
 let equal a b = a = b
-
-let to_char = function Zero -> '0' | One -> '1' | X -> 'X'
-
-let of_char = function
-  | '0' -> Zero
-  | '1' -> One
-  | 'x' | 'X' -> X
-  | _ -> invalid_arg "Ternary.of_char"
-
-let pp fmt v = Format.pp_print_char fmt (to_char v)

@@ -6,19 +6,8 @@
 type v = Zero | One | X
 
 val of_bool : bool -> v
-val to_bool : v -> bool option
-(** [None] for [X]. *)
 
 val is_known : v -> bool
-
-val lnot : v -> v
-val land_ : v -> v -> v
-val lor_ : v -> v -> v
-val lxor_ : v -> v -> v
-
-val land_n : v array -> v
-val lor_n : v array -> v
-val lxor_n : v array -> v
 
 val eval_gate : Gate_fn.t -> v array -> v
 (** Pessimistic gate evaluation: X inputs propagate unless the known inputs
@@ -29,9 +18,3 @@ val eval_truth : Truth.t -> v array -> v
     compatible with the known inputs agree. *)
 
 val equal : v -> v -> bool
-val to_char : v -> char
-val of_char : char -> v
-(** Raises [Invalid_argument] for characters outside ['0'], ['1'], ['x'],
-    ['X']. *)
-
-val pp : Format.formatter -> v -> unit

@@ -76,13 +76,6 @@ let lxor_ a b =
 
 let equal a b = a.arity = b.arity && Int64.equal a.bits b.bits
 
-let compare a b =
-  match Int.compare a.arity b.arity with
-  | 0 -> Int64.compare a.bits b.bits
-  | c -> c
-
-let hash t = Hashtbl.hash (t.arity, t.bits)
-
 let popcount64 x =
   let rec loop acc x = if Int64.equal x 0L then acc
     else loop (acc + 1) (Int64.logand x (Int64.sub x 1L))
@@ -93,8 +86,6 @@ let agreement a b =
   same_arity a b "agreement";
   rows a - popcount64 (Int64.logxor a.bits b.bits)
 
-let count_ones t = popcount64 t.bits
-
 let cofactor t k v =
   if k < 0 || k >= t.arity then invalid_arg "Truth.cofactor: index";
   create ~arity:t.arity (fun inputs ->
@@ -104,15 +95,6 @@ let cofactor t k v =
 
 let depends_on t k =
   not (equal (cofactor t k false) (cofactor t k true))
-
-let support_size t =
-  let n = ref 0 in
-  for k = 0 to t.arity - 1 do
-    if depends_on t k then incr n
-  done;
-  !n
-
-let is_degenerate t = support_size t < t.arity
 
 let to_string t =
   String.init (rows t) (fun i -> if row t i then '1' else '0')
@@ -139,14 +121,6 @@ let of_string s =
       | _ -> invalid_arg "Truth.of_string: expected 0/1")
     s;
   { arity; bits = !bits }
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-
-let enumerate ~arity =
-  check_arity arity;
-  if arity > 4 then invalid_arg "Truth.enumerate: arity too large to enumerate";
-  let count = 1 lsl (1 lsl arity) in
-  Seq.init count (fun i -> { arity; bits = Int64.of_int i })
 
 let random rng ~arity =
   check_arity arity;

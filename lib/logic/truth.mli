@@ -41,42 +41,19 @@ val lor_ : t -> t -> t
 val lxor_ : t -> t -> t
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val hash : t -> int
-
 val agreement : t -> t -> int
 (** [agreement a b] is the number of input rows on which [a] and [b]
     produce the same output — the paper's "similarity" of two gates
     (e.g. AND2 vs NOR2 agree on 2 rows; AND2 vs NAND2 on 0).
     Raises [Invalid_argument] when arities differ. *)
 
-val count_ones : t -> int
-(** Number of rows producing 1 (the on-set size). *)
-
-val cofactor : t -> int -> bool -> t
-(** [cofactor t k v] fixes input [k] to [v]; the result keeps the same
-    arity with input [k] becoming irrelevant. *)
-
 val depends_on : t -> int -> bool
 (** Whether the output actually depends on input [k]. *)
-
-val support_size : t -> int
-(** Number of inputs the function truly depends on. *)
-
-val is_degenerate : t -> bool
-(** True when the function ignores at least one of its declared inputs
-    (including constants).  A "meaningful" LUT content is non-degenerate. *)
 
 val to_string : t -> string
 (** Rows as a 0/1 string, row 0 first, e.g. AND2 = ["0001"]. *)
 
 val of_string : string -> t
 (** Inverse of {!to_string}.  Raises [Invalid_argument] on bad input. *)
-
-val pp : Format.formatter -> t -> unit
-
-val enumerate : arity:int -> t Seq.t
-(** All [2^(2^arity)] functions of the given arity (practical for
-    arity <= 4). *)
 
 val random : Sttc_util.Rng.t -> arity:int -> t

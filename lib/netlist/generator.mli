@@ -23,17 +23,9 @@ type spec = {
   levels : int;  (** target combinational depth, >= 1 *)
 }
 
-val default_spec : spec
-(** A small smoke-test circuit (8 PI, 8 PO, 6 FF, 60 gates, 6 levels). *)
-
 val generate : seed:int -> spec -> Netlist.t
 (** Deterministic in [seed] and [spec].  Raises [Invalid_argument] on
     nonsensical specs. *)
-
-val random_combinational :
-  seed:int -> n_pi:int -> n_gates:int -> n_po:int -> Netlist.t
-(** Purely combinational variant (no flip-flops), used heavily by unit and
-    property tests. *)
 
 (** {1 Parameterized scale families}
 
@@ -55,13 +47,9 @@ val profile_name : profile -> string
 val profile_of_string : string -> (profile, string) result
 (** Inverse of {!profile_name}; also accepts "s-like" and "fanout-heavy". *)
 
-val all_profiles : profile list
-
-val family_spec : ?profile:profile -> gates:int -> unit -> spec
-(** The concrete spec of a family member (default profile [Slike]).
-    Raises [Invalid_argument] below 8 gates. *)
-
 val generate_family : seed:int -> ?profile:profile -> gates:int -> unit -> Netlist.t
-(** [generate] on {!family_spec} (plus the hub-bias wiring for
-    [Fanout_heavy]).  Deterministic in [seed], [profile] and [gates];
-    validated (builder invariants + acyclicity) up to 10^6 gates. *)
+(** [generate] on the family member's spec (default profile [Slike];
+    plus the hub-bias wiring for [Fanout_heavy]).  Deterministic in
+    [seed], [profile] and [gates]; validated (builder invariants +
+    acyclicity) up to 10^6 gates.  Raises [Invalid_argument] below 8
+    gates. *)

@@ -10,9 +10,6 @@
     - [c17]: the smallest ISCAS'85 combinational benchmark
       (5 PI, 2 PO, 6 NAND gates). *)
 
-val s27_text : string
-val c17_text : string
-
 val s27 : unit -> Netlist.t
 val c17 : unit -> Netlist.t
 

@@ -103,16 +103,12 @@ module Builder : sig
 
   val set_dff_input : t -> node_id -> node_id -> unit
   val add_output : t -> string -> node_id -> unit
-  val node_count : t -> int
 
   val finalize : t -> netlist
   (** Validates and freezes.  Raises [Invalid_argument] on: duplicate
       names, dangling DFF inputs, arity mismatches, references to
       undefined nodes, combinational cycles, or empty output list. *)
 end
-
-val rename : t -> string -> t
-(** Copy with a new design name. *)
 
 val kind_delta : t -> t -> node_id list option
 (** [kind_delta a b] is [Some ids] when [b] is {e id-compatible} with [a] —

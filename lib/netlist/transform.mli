@@ -54,13 +54,12 @@ val absorbable_driver :
     delay depends only on arity, so timing through this view matches the
     committed netlist exactly).  The selection loops stage a candidate
     set, evaluate it through {!Sttc_analysis.Sta.trial_delay_ps}, then
-    either {!clear} (candidate rejected) or {!commit} (materialize the
-    winning set once via {!replace_many}). *)
+    either {!clear} (candidate rejected) or materialize the winning set
+    once via {!replace_many}. *)
 module Overlay : sig
   type t
 
   val create : Netlist.t -> t
-  val base : t -> Netlist.t
 
   val stage : t -> Netlist.node_id -> unit
   (** Mark a gate as speculatively replaced (idempotent).  Raises
@@ -82,11 +81,6 @@ module Overlay : sig
   val kind : t -> Netlist.node_id -> Netlist.kind
   (** The node's kind under the overlay: a config-free LUT for staged
       gates, the base kind otherwise. *)
-
-  val commit : ?keep_function:bool -> t -> Netlist.t
-  (** Materialize the staged set ({!replace_many} semantics; the staged
-      view's [config = None] is the [keep_function:false] case — the
-      default [keep_function:true] installs the gates' truth tables). *)
 end
 
 val sweep : Netlist.t -> Netlist.t * int array

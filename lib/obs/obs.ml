@@ -38,9 +38,6 @@ let attach_pool () =
 
 let detach_pool () = Sttc_util.Pool.set_probe None
 
-let write_trace path = Export.write_file path (Export.trace_json ())
-let write_metrics path = Export.write_file path (Export.metrics_json ())
-
 let with_run ?trace ?metrics f =
   match (trace, metrics) with
   | None, None -> f ()
@@ -50,8 +47,10 @@ let with_run ?trace ?metrics f =
       Fun.protect
         ~finally:(fun () ->
           disable ();
-          (match trace with Some p -> write_trace p | None -> ());
-          (match metrics with Some p -> write_metrics p | None -> ());
+          Option.iter (fun p -> Export.write_file p (Export.trace_json ())) trace;
+          Option.iter
+            (fun p -> Export.write_file p (Export.metrics_json ()))
+            metrics;
           reset ();
           detach_pool ())
         f

@@ -29,26 +29,18 @@ val reset : unit -> unit
 (** Drop all recorded spans and metrics and forget the trace clock
     origin. *)
 
-val attach_pool : unit -> unit
-(** Install the {!Sttc_util.Pool} probe: submissions and chunk
-    executions become [pool.*] metrics and [pool.chunk] spans.  The
-    pool itself sits below this library in the dependency order, which
-    is why the wiring runs in this direction. *)
-
-val detach_pool : unit -> unit
-
-val write_trace : string -> unit
-(** Export all recorded spans as Chrome [trace_event] JSON.  Call at a
-    quiesce point (pools joined). *)
-
-val write_metrics : string -> unit
-(** Export the merged metrics snapshot as JSON. *)
-
 val with_run : ?trace:string -> ?metrics:string -> (unit -> 'a) -> 'a
-(** Enable recording (and the pool probe) around the thunk when at
-    least one output file is requested, then export, reset, and detach
-    — also on exception, so a crashed run still leaves its trace
-    behind.  With neither file requested: just the thunk. *)
+(** Enable recording around the thunk when at least one output file is
+    requested, then export, reset, and detach — also on exception, so a
+    crashed run still leaves its trace behind.  With neither file
+    requested: just the thunk.
+
+    Recording also installs the {!Sttc_util.Pool} probe: submissions
+    and chunk executions become [pool.*] metrics and [pool.chunk] spans
+    (the pool sits below this library in the dependency order, which is
+    why the wiring runs in this direction).  The trace is Chrome
+    [trace_event] JSON and the metrics file the merged snapshot, both
+    written after the thunk's pools have joined. *)
 
 val validate_trace_file : string -> (int, string) result
 (** Parse and structurally validate a trace file ({!Export.validate_trace});

@@ -13,7 +13,7 @@
     one atomic load — tracing that is compiled in but switched off
     cannot perturb benchmark results.
 
-    Buffers are bounded ({!max_events} per domain); past the cap new
+    Buffers are bounded (200,000 events per domain); past the cap new
     spans are counted in {!dropped} instead of recorded, so a runaway
     instrumentation site degrades the trace, never the run. *)
 
@@ -36,9 +36,6 @@ type event =
       attrs : (string * string) list;
     }
 
-val max_events : int
-(** Per-domain buffer cap. *)
-
 val with_ :
   ?cat:string -> ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
 (** Run the thunk inside a span.  The span is recorded when the thunk
@@ -53,7 +50,7 @@ val events : unit -> event list
     Collect at a quiesce point (after pools have joined). *)
 
 val dropped : unit -> int
-(** Events discarded because a domain buffer hit {!max_events}. *)
+(** Events discarded because a domain buffer hit its cap. *)
 
 val reset : unit -> unit
 (** Clear all buffers and the drop count. *)

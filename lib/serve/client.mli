@@ -8,11 +8,6 @@
 
 type t
 
-val connect : string -> (t, string) result
-(** Connect to the daemon's Unix-domain socket at the given path. *)
-
-val close : t -> unit
-
 val request : t -> Request.t -> (Response.t, string) result
 (** One round trip.  The [Error] case is a transport or framing
     failure; application failures arrive as {!Response.Error} /
@@ -25,4 +20,5 @@ val recv_line : t -> (string, string) result
 (** Block for the next response frame, undecoded. *)
 
 val with_connection : string -> (t -> ('a, string) result) -> ('a, string) result
-(** [connect], run, always [close]. *)
+(** Connect to the daemon's Unix-domain socket at the given path, run,
+    always close.  A failed connect is an [Error]. *)

@@ -195,19 +195,25 @@ let handle ?solver session (req : Request.t) =
   Metrics.incr "serve.requests";
   let t0 = Sttc_util.Pool.now_s () in
   let result =
-    match req.Request.payload with
-    | Request.Ping { sleep_s } ->
-        if sleep_s > 0. then Unix.sleepf (Float.min sleep_s max_ping_sleep_s);
-        Ok Response.Pong
-    | Request.Stats -> Ok (Response.Stats (Metrics.snapshot ()))
-    | Request.Shutdown -> Ok Response.Shutting_down
-    | Request.Protect p ->
-        with_budget req.Request.timeout_s (fun () -> do_protect session p)
-    | Request.Attack a ->
-        with_budget req.Request.timeout_s (fun () ->
-            do_attack ?solver session a)
-    | Request.Lint l ->
-        with_budget req.Request.timeout_s (fun () -> do_lint session l)
+    try
+      match req.Request.payload with
+      | Request.Ping { sleep_s } ->
+          if sleep_s > 0. then Unix.sleepf (Float.min sleep_s max_ping_sleep_s);
+          Ok Response.Pong
+      | Request.Stats -> Ok (Response.Stats (Metrics.snapshot ()))
+      | Request.Shutdown -> Ok Response.Shutting_down
+      | Request.Protect p ->
+          with_budget req.Request.timeout_s (fun () -> do_protect session p)
+      | Request.Attack a ->
+          with_budget req.Request.timeout_s (fun () ->
+              do_attack ?solver session a)
+      | Request.Lint l ->
+          with_budget req.Request.timeout_s (fun () -> do_lint session l)
+    with
+    (* an enclosing budget is the caller's to report; anything else a
+       verb raises becomes this request's error, never the worker's *)
+    | Sttc_util.Deadline.Expired as e -> raise e
+    | e -> Error ("internal error: " ^ Printexc.to_string e)
   in
   Metrics.observe "serve.request_seconds" (Sttc_util.Pool.now_s () -. t0);
   match result with

@@ -20,7 +20,10 @@ val handle :
   Session.t ->
   Request.t ->
   Response.t
-(** Execute one request.  [solver] is the calling worker's persistent
+(** Execute one request.  An exception a verb raises (other than
+    {!Sttc_util.Deadline.Expired} from an enclosing budget) becomes an
+    [internal error: ...] error response, so it never kills the calling
+    worker.  [solver] is the calling worker's persistent
     SAT arena, recycled across requests via
     {!Sttc_logic.Sat.Solver.reset} (results are byte-identical with or
     without it); pass it only from a context that owns the solver

@@ -268,13 +268,6 @@ let check_bdd a b =
       match (build a, build b) with
       | exception Invalid_argument msg -> Inconclusive msg
       | lit_a, lit_b ->
-          let signals =
-            Array.to_list
-              (Array.map
-                 (fun (name, id) -> (name, lit_a.(id), `B id))
-                 (Netlist.outputs a))
-          in
-          ignore signals;
           let pairs =
             Array.to_list
               (Array.map

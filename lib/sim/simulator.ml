@@ -83,7 +83,6 @@ let create ?(configs = []) nl =
     ff_state = Array.make (Array.length dffs) 0L;
   }
 
-let netlist t = t.nl
 let reset t = Array.fill t.ff_state 0 (Array.length t.ff_state) 0L
 
 let set_state t st =
@@ -134,7 +133,3 @@ let step t pi_lanes =
   outs
 
 let node_values t = Array.copy t.values
-
-let run_sequence t seq =
-  reset t;
-  List.map (fun pis -> step t pis) seq

@@ -17,8 +17,6 @@ val create :
     netlist.  Raises [Invalid_argument] if any LUT remains unconfigured or
     an override has the wrong arity. *)
 
-val netlist : t -> Sttc_netlist.Netlist.t
-
 val reset : t -> unit
 (** All flip-flops to 0 in every lane. *)
 
@@ -40,11 +38,3 @@ val eval_comb : t -> int64 array -> int64 array
 val node_values : t -> int64 array
 (** Per-node values of the latest evaluation (after {!step} or
     {!eval_comb}). *)
-
-val run_sequence : t -> int64 array list -> int64 array list
-(** Feed a sequence of PI lane-vectors, one per cycle, from reset; collect
-    the PO lane-vectors. *)
-
-val eval_truth_lanes : Sttc_logic.Truth.t -> int64 array -> int64
-(** Bit-parallel truth-table evaluation (exposed for tests and for the
-    attack code): input [k]'s lanes in element [k]. *)

@@ -37,14 +37,3 @@ let eval_comb ?state nl pis =
 
 let outputs nl values =
   Array.map (fun (_, id) -> values.(id)) (Netlist.outputs nl)
-
-let unknown_outputs nl values =
-  Array.fold_left
-    (fun acc v -> if v = Ternary.X then acc + 1 else acc)
-    0 (outputs nl values)
-
-let x_reaches_observation nl values =
-  Array.exists (fun v -> v = Ternary.X) (outputs nl values)
-  || List.exists
-       (fun ff -> values.((Netlist.fanins nl ff).(0)) = Ternary.X)
-       (Netlist.dffs nl)

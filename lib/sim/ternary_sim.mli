@@ -23,11 +23,3 @@ val eval_comb :
 
 val outputs : Sttc_netlist.Netlist.t -> values -> Sttc_logic.Ternary.v array
 (** Primary-output values (in [Netlist.outputs] order) from a {!values}. *)
-
-val unknown_outputs : Sttc_netlist.Netlist.t -> values -> int
-(** How many primary outputs are X — the paper's intuition of "the foundry
-    cannot determine the functionality": with good selection this stays
-    high across input patterns. *)
-
-val x_reaches_observation : Sttc_netlist.Netlist.t -> values -> bool
-(** True when any primary output or flip-flop D-input carries X. *)

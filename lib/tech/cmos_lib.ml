@@ -56,8 +56,6 @@ let gate fn =
     area_um2 = area_um2 fn;
   }
 
-let inverter = gate Gate_fn.Not
-
 let dff =
   {
     Cell.cell_name = "DFF";

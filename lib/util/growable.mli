@@ -5,13 +5,12 @@
 
 type 'a t
 
-val create : ?capacity:int -> unit -> 'a t
+val create : unit -> 'a t
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 val get : 'a t -> int -> 'a
 (** Raises [Invalid_argument] when the index is out of bounds. *)
 
-val set : 'a t -> int -> 'a -> unit
 val push : 'a t -> 'a -> int
 (** [push t x] appends [x] and returns its index. *)
 
@@ -19,14 +18,5 @@ val pop : 'a t -> 'a
 (** Removes and returns the last element.  Raises [Invalid_argument] when
     empty. *)
 
-val last : 'a t -> 'a
-val clear : 'a t -> unit
 val iter : ('a -> unit) -> 'a t -> unit
-val iteri : (int -> 'a -> unit) -> 'a t -> unit
-val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
-val exists : ('a -> bool) -> 'a t -> bool
 val to_array : 'a t -> 'a array
-val to_list : 'a t -> 'a list
-val of_list : 'a list -> 'a t
-val truncate : 'a t -> int -> unit
-(** [truncate t n] drops all elements at index [>= n]. *)

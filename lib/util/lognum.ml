@@ -13,9 +13,6 @@ let of_float x =
 
 let of_int n = of_float (float_of_int n)
 
-let of_log10 e =
-  if Float.is_nan e then invalid_arg "Lognum.of_log10: NaN" else e
-
 let log10 t = t
 let is_zero t = t = neg_infinity
 
@@ -49,11 +46,8 @@ let pow_float a x =
   else a *. x
 
 let compare = Float.compare
-let equal a b = Float.equal a b
 let ( * ) = mul
-let ( + ) = add
 let max a b = Float.max a b
-let min a b = Float.min a b
 let prod l = List.fold_left mul one l
 let sum l = List.fold_left add zero l
 

@@ -20,9 +20,6 @@ val of_float : float -> t
 
 val of_int : int -> t
 
-val of_log10 : float -> t
-(** [of_log10 e] is the number [10^e]. *)
-
 val log10 : t -> float
 (** [log10 t] is the base-10 logarithm; [neg_infinity] for {!zero}. *)
 
@@ -44,12 +41,9 @@ val pow_float : t -> float -> t
 (** [pow_float a x] is [a ** x] for [x >= 0.]. *)
 
 val compare : t -> t -> int
-val equal : t -> t -> bool
 val ( * ) : t -> t -> t
-val ( + ) : t -> t -> t
 
 val max : t -> t -> t
-val min : t -> t -> t
 
 val prod : t list -> t
 val sum : t list -> t

@@ -30,15 +30,6 @@ exception Task_error of error
 
 type t
 
-val create : ?chunk:int -> jobs:int -> unit -> t
-(** [create ~jobs ()] spawns [jobs] worker domains ([jobs >= 1]).
-    [chunk] fixes the number of consecutive tasks handed to a worker at
-    a time (default: computed from the submission size, about four
-    chunks per worker). *)
-
-val jobs : t -> int
-(** Worker count the pool was created with. *)
-
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — what [-j 0] resolves to. *)
 
@@ -79,20 +70,20 @@ val map_reduce :
     reduction is order-stable, so a non-commutative [reduce] still gives
     the serial answer.  Raises {!Task_error} like {!map_exn}. *)
 
-val shutdown : t -> unit
-(** Graceful shutdown: already-queued work is drained, workers then exit
-    and are joined.  Idempotent.  Subsequent {!map} calls raise
-    [Invalid_argument]. *)
-
 val with_pool : ?chunk:int -> jobs:int -> (t -> 'a) -> 'a
-(** [with_pool ~jobs f] runs [f] with a fresh pool and shuts it down on
-    the way out, exceptions included. *)
+(** [with_pool ~jobs f] spawns [jobs] worker domains ([jobs >= 1],
+    else [Invalid_argument]), runs [f] with them and shuts the pool down
+    on the way out, exceptions included: already-queued work is drained,
+    the workers are joined, and later {!map} calls on the pool raise
+    [Invalid_argument].  [chunk] fixes the number of consecutive tasks
+    handed to a worker at a time (default: computed from the submission
+    size, about four chunks per worker). *)
 
 (** {1 Instrumentation probe}
 
     The pool sits below the observability layer in the dependency
     order, so rather than record anything itself it exposes one hook.
-    [Sttc_obs.Obs.attach_pool] installs a probe that turns these
+    [Sttc_obs.Obs.with_run] installs a probe that turns these
     callbacks into spans and metrics; without one, the overhead is a
     single atomic load per {!map} call. *)
 

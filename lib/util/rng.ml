@@ -16,7 +16,6 @@ let next_raw t =
 let make seed = { state = Int64.of_int seed }
 
 let split t = { state = next_raw t }
-let copy t = { state = t.state }
 
 let int64 t = next_raw t
 
@@ -43,14 +42,6 @@ let pick_list t l =
   match l with
   | [] -> invalid_arg "Rng.pick_list: empty list"
   | _ -> List.nth l (int t (List.length l))
-
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done
 
 let sample t k arr =
   let n = Array.length arr in

@@ -15,8 +15,6 @@ val split : t -> t
     subsequent draws from [t].  Used to give each benchmark / algorithm its
     own stream so experiment order does not change results. *)
 
-val copy : t -> t
-
 val int : t -> int -> int
 (** [int t bound] draws uniformly from [0, bound).  [bound > 0]. *)
 
@@ -32,9 +30,6 @@ val pick : t -> 'a array -> 'a
 
 val pick_list : t -> 'a list -> 'a
 (** Uniform element of a non-empty list. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)
 
 val sample : t -> int -> 'a array -> 'a array
 (** [sample t k arr] draws [min k (Array.length arr)] distinct elements,

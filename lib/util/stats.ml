@@ -4,32 +4,13 @@ let mean = function
   | [] -> 0.
   | xs -> sum xs /. float_of_int (List.length xs)
 
-let stdev = function
-  | [] | [ _ ] -> 0.
-  | xs ->
-      let m = mean xs in
-      let sq = List.fold_left (fun acc x -> acc +. ((x -. m) ** 2.)) 0. xs in
-      sqrt (sq /. float_of_int (List.length xs))
-
-let sorted xs = List.sort Float.compare xs
-
 let percentile p xs =
   if xs = [] then invalid_arg "Stats.percentile: empty";
   if p < 0. || p > 100. then invalid_arg "Stats.percentile: p out of range";
-  let arr = Array.of_list (sorted xs) in
+  let arr = Array.of_list (List.sort Float.compare xs) in
   let n = Array.length arr in
   let rank = int_of_float (ceil (p /. 100. *. float_of_int n)) in
   arr.(max 0 (min (n - 1) (rank - 1)))
-
-let median xs = percentile 50. xs
-
-let minimum = function
-  | [] -> invalid_arg "Stats.minimum: empty"
-  | x :: xs -> List.fold_left Float.min x xs
-
-let maximum = function
-  | [] -> invalid_arg "Stats.maximum: empty"
-  | x :: xs -> List.fold_left Float.max x xs
 
 let relative_overhead ~base ~modified =
   if base = 0. then 0. else (modified -. base) /. base *. 100.

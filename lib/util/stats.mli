@@ -3,17 +3,9 @@
 val mean : float list -> float
 (** Arithmetic mean; 0. for the empty list. *)
 
-val stdev : float list -> float
-(** Population standard deviation; 0. for lists shorter than 2. *)
-
-val median : float list -> float
 val percentile : float -> float list -> float
 (** [percentile p xs] with [p] in [0,100], nearest-rank method.
     Raises [Invalid_argument] on an empty list or [p] out of range. *)
-
-val minimum : float list -> float
-val maximum : float list -> float
-val sum : float list -> float
 
 val relative_overhead : base:float -> modified:float -> float
 (** [(modified - base) / base * 100.], the percentage metric used across

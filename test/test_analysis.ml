@@ -56,7 +56,9 @@ let test_sta_critical_path () =
   Alcotest.(check string) "starts at pi" "a"
     (Netlist.name nl (List.hd path));
   Alcotest.(check string) "ends at endpoint" "n3"
-    (Netlist.name nl (Sta.critical_endpoint sta))
+    (Netlist.name nl (List.nth path 3));
+  Alcotest.(check string) "worst endpoint" "n3"
+    (Netlist.name nl (fst (List.hd (Sta.endpoint_arrivals sta))))
 
 let test_sta_pipeline_stages () =
   let nl = pipeline_circuit () in
@@ -71,15 +73,6 @@ let test_sta_pipeline_stages () =
   Alcotest.(check (float 1e-6)) "g3 arrival" (dffq +. xor_d)
     (Sta.arrival_ps sta g3)
 
-let test_sta_slack () =
-  let nl = inverter_chain 2 in
-  let sta = Sta.analyze lib nl in
-  let crit = Sta.critical_delay_ps sta in
-  Alcotest.(check (float 1e-9)) "zero slack at critical" 0.
-    (Sta.slack_ps sta ~clock_ps:crit);
-  Alcotest.(check bool) "negative slack when faster" true
-    (Sta.slack_ps sta ~clock_ps:(crit -. 1.) < 0.)
-
 let test_sta_lut_slows_path () =
   let nl = inverter_chain 4 in
   let sta = Sta.analyze lib nl in
@@ -91,55 +84,41 @@ let test_sta_lut_slows_path () =
   Alcotest.(check bool) "slower with LUT" true
     (Sta.critical_delay_ps sta2 > Sta.critical_delay_ps sta)
 
-let test_sta_worst_paths_report () =
+let test_sta_endpoint_arrivals () =
   let nl = pipeline_circuit () in
   let sta = Sta.analyze lib nl in
-  let paths = Sta.worst_paths sta ~k:2 in
-  Alcotest.(check int) "two paths" 2 (List.length paths);
-  (match paths with
-  | (a1, p1) :: (a2, _) :: _ ->
+  match Sta.endpoint_arrivals sta with
+  | (_, a1) :: (_, a2) :: _ ->
       Alcotest.(check bool) "sorted" true (a1 >= a2);
       Alcotest.(check (float 1e-9)) "worst = critical"
-        (Sta.critical_delay_ps sta) a1;
-      Alcotest.(check bool) "path nonempty" true (p1 <> [])
-  | _ -> Alcotest.fail "expected two paths");
-  let r = Sta.report ~k:2 sta in
-  Alcotest.(check bool) "report mentions GHz" true
-    (let needle = "GHz" in
-     let n = String.length needle and h = String.length r in
-     let rec go i = (i + n <= h) && (String.sub r i n = needle || go (i + 1)) in
-     go 0)
+        (Sta.critical_delay_ps sta) a1
+  | _ -> Alcotest.fail "expected two endpoints"
 
 (* ---------- Paths ---------- *)
 
 let test_paths_find_io_path () =
   let nl = pipeline_circuit () in
-  let rng = Rng.make 1 in
   let g2 = Netlist.find_exn nl "g2" in
-  match Paths.find_io_path ~rng nl g2 with
-  | None -> Alcotest.fail "expected a path"
-  | Some p ->
-      (* path passes through g2, starts at a PI, ends at the PO driver *)
+  let paths = Paths.sample ~rng:(Rng.make 1) nl in
+  if paths = [] then Alcotest.fail "expected a path";
+  List.iter
+    (fun p ->
+      (* every 2-FF path passes through g2, starts at a PI, ends at the
+         PO driver *)
       Alcotest.(check bool) "contains g2" true (List.mem g2 p.Paths.nodes);
       let first = List.hd p.Paths.nodes in
       (match Netlist.kind nl first with
       | Netlist.Pi -> ()
       | _ -> Alcotest.fail "must start at a PI");
       let last = List.nth p.Paths.nodes (List.length p.Paths.nodes - 1) in
-      Alcotest.(check string) "ends at PO driver" "g3" (Netlist.name nl last)
+      Alcotest.(check string) "ends at PO driver" "g3" (Netlist.name nl last))
+    paths
 
 let test_paths_segments () =
   let nl = pipeline_circuit () in
-  let rng = Rng.make 3 in
-  (* walk until we get the full-depth path (2 FFs) *)
-  let rec find k =
-    if k > 50 then Alcotest.fail "no 2-FF path found"
-    else
-      match Paths.find_io_path ~rng nl (Netlist.find_exn nl "g2") with
-      | Some p when p.Paths.ff_count = 2 -> p
-      | _ -> find (k + 1)
-  in
-  let p = find 0 in
+  (* the full-depth path (2 FFs) sorts first *)
+  let p = List.hd (Paths.sample ~rng:(Rng.make 3) nl) in
+  Alcotest.(check int) "two FFs" 2 p.Paths.ff_count;
   let segs = Paths.segments nl p in
   Alcotest.(check int) "three segments" 3 (List.length segs);
   (match segs with
@@ -150,7 +129,10 @@ let test_paths_segments () =
       Alcotest.(check bool) "s3 captures at PO" false s3.Paths.captures_at_ff
   | _ -> Alcotest.fail "expected 3 segments");
   Alcotest.(check int) "replaceable gates" 3
-    (List.length (Paths.gates_on_path nl p))
+    (List.length
+       (List.filter
+          (fun id -> Netlist.is_combinational (Netlist.kind nl id))
+          p.Paths.nodes))
 
 let test_paths_sample_sorted_and_deduped () =
   let nl =
@@ -316,18 +298,7 @@ let test_power_lut_increases () =
   let r1 = Power.estimate lib nl and r2 = Power.estimate lib nl2 in
   Alcotest.(check bool) "hybrid burns more" true
     (r2.Power.total_uw > r1.Power.total_uw);
-  Alcotest.(check bool) "stt share positive" true (r2.Power.stt_uw > 0.);
-  Alcotest.(check bool) "overhead positive" true
-    (Power.overhead_pct ~base:r1 ~modified:r2 > 0.)
-
-let test_power_scales_with_clock () =
-  let nl = inverter_chain 10 in
-  let r1 = Power.estimate lib nl in
-  let r2 = Power.estimate (Library.with_clock lib ~ghz:2.) nl in
-  Alcotest.(check (float 1e-6)) "dynamic doubles" (2. *. r1.Power.dynamic_uw)
-    r2.Power.dynamic_uw;
-  Alcotest.(check (float 1e-9)) "leakage unchanged" r1.Power.leakage_uw
-    r2.Power.leakage_uw
+  Alcotest.(check bool) "stt share positive" true (r2.Power.stt_uw > 0.)
 
 (* ---------- Area ---------- *)
 
@@ -345,7 +316,7 @@ let test_area_lut_overhead () =
   let nl2 = Transform.replace_gate_with_lut nl g in
   let r1 = Area.estimate lib nl and r2 = Area.estimate lib nl2 in
   Alcotest.(check bool) "lut bigger than gate" true
-    (Area.overhead_pct ~base:r1 ~modified:r2 > 0.)
+    (r2.Area.total_um2 > r1.Area.total_um2)
 
 let () =
   Alcotest.run "sttc_analysis"
@@ -355,9 +326,8 @@ let () =
           Alcotest.test_case "chain delay" `Quick test_sta_chain_delay;
           Alcotest.test_case "critical path" `Quick test_sta_critical_path;
           Alcotest.test_case "pipeline stages" `Quick test_sta_pipeline_stages;
-          Alcotest.test_case "slack" `Quick test_sta_slack;
           Alcotest.test_case "lut slows path" `Quick test_sta_lut_slows_path;
-          Alcotest.test_case "worst paths report" `Quick test_sta_worst_paths_report;
+          Alcotest.test_case "endpoint arrivals" `Quick test_sta_endpoint_arrivals;
         ] );
       ( "paths",
         [
@@ -386,7 +356,6 @@ let () =
         [
           Alcotest.test_case "report consistency" `Quick test_power_report_consistency;
           Alcotest.test_case "lut increases power" `Quick test_power_lut_increases;
-          Alcotest.test_case "scales with clock" `Quick test_power_scales_with_clock;
         ] );
       ( "area",
         [

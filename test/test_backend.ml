@@ -17,6 +17,8 @@ module Manifest = Sttc_campaign.Manifest
 module Request = Sttc_serve.Request
 module Json = Sttc_obs.Json
 
+let tvd = Backend.find_exn "tvd"
+
 let protect ?seed ?backend alg nl =
   (Flow.run ?seed ?backend ~policy:Flow.Strict alg nl).Flow.accepted
 
@@ -65,18 +67,18 @@ let test_registry () =
    strictly smaller, which is the whole security trade-off. *)
 let test_cell_keyspace () =
   for n = 1 to 4 do
-    let stt = Backend.cell_keyspace Backend.stt ~arity:n in
+    let stt = Backend.search_space Backend.stt ~arities:[ n ] in
     let expected = Lognum.pow (Lognum.of_int 2) (1 lsl n) in
     Alcotest.(check bool)
       (Printf.sprintf "stt arity %d = 2^2^%d" n n)
       true
-      (Lognum.equal stt expected);
-    let tvd = Backend.cell_keyspace Backend.tvd ~arity:n in
+      (Lognum.compare stt expected = 0);
+    let tvd = Backend.search_space tvd ~arities:[ n ] in
     let family = Gate_fn.candidate_count n in
     Alcotest.(check bool)
       (Printf.sprintf "tvd arity %d = candidate family" n)
       true
-      (Lognum.equal tvd (Lognum.of_int family));
+      (Lognum.compare tvd (Lognum.of_int family) = 0);
     Alcotest.(check int)
       (Printf.sprintf "family matches Tvd_lib at arity %d" n)
       family
@@ -90,7 +92,7 @@ let test_cell_keyspace () =
   let arities = [ 2; 3; 3; 4 ] in
   let prod b =
     List.fold_left
-      (fun acc n -> Lognum.mul acc (Backend.cell_keyspace b ~arity:n))
+      (fun acc n -> Lognum.mul acc (Backend.search_space b ~arities:[ n ]))
       Lognum.one arities
   in
   List.iter
@@ -98,7 +100,7 @@ let test_cell_keyspace () =
       Alcotest.(check bool)
         (Backend.name b ^ " search space is the product")
         true
-        (Lognum.equal (Backend.search_space b ~arities) (prod b)))
+        (Lognum.compare (Backend.search_space b ~arities) (prod b) = 0))
     Backend.all
 
 (* ---------- flow invariants ---------- *)
@@ -132,16 +134,13 @@ let prop_tvd_secret_in_candidate_family =
     gen_seed
     (fun seed ->
       let nl = gen_netlist seed in
-      let r = protect ~seed ~backend:Backend.tvd (Flow.Independent { count = 4 }) nl in
+      let r = protect ~seed ~backend:tvd (Flow.Independent { count = 4 }) nl in
       let h = r.Flow.hybrid in
       let foundry = Hybrid.foundry_view h in
       List.for_all
         (fun (id, config) ->
-          match Netlist.kind foundry id with
-          | Netlist.Lut { arity; _ } -> (
-              match Backend.candidate_tables Backend.tvd ~arity with
-              | Some family -> List.mem config family
-              | None -> false)
+          match Backend.sat_candidates tvd foundry [ id ] with
+          | [ (_, family) ] -> List.mem config family
           | _ -> false)
         (Hybrid.bitstream h))
 
@@ -178,7 +177,7 @@ let test_hardening_requires_free_backend () =
   let nl = gen_netlist 5 in
   let hardening = { Flow.extra_inputs_per_lut = 1; absorb_drivers = false } in
   match
-    Flow.run ~seed:1 ~hardening ~backend:Backend.tvd ~policy:Flow.Strict
+    Flow.run ~seed:1 ~hardening ~backend:tvd ~policy:Flow.Strict
       (Flow.Independent { count = 2 })
       nl
   with

@@ -74,6 +74,9 @@ let scrubbed f () =
       Obs.reset ())
     f
 
+let all_complete (o : Supervisor.outcome) =
+  List.for_all (fun (_, s) -> s = Supervisor.Complete) o.statuses
+
 let contains hay needle =
   let n = String.length needle and h = String.length hay in
   let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
@@ -295,7 +298,7 @@ let test_worker_resume_convergence () =
   (* corrupt checkpoint: rejected cleanly, full recompute, same rows *)
   let bad_dir = fresh_dir () in
   Out_channel.with_open_bin
-    (Shard.checkpoint_path ~dir:bad_dir 0)
+    (Filename.concat bad_dir "shards/shard-0.ckpt")
     (fun oc -> Out_channel.output_string oc "not a checkpoint at all\n");
   let o = run_worker bad_dir in
   Alcotest.(check int) "nothing restored from garbage" 0 o.restored;
@@ -337,7 +340,7 @@ let supervise ?(retries = 1) ?(heartbeat_timeout_s = 5.) ~worker events =
 let stash_result m =
   let stash = fresh_dir () in
   Shard.save_result ~dir:stash ~shard:0 (fake_rows m ~shard:0);
-  Shard.result_path ~dir:stash 0
+  Filename.concat stash "shards/shard-0.done"
 
 let test_supervisor_exhausts_hard_failure =
   scrubbed @@ fun () ->
@@ -350,7 +353,7 @@ let test_supervisor_exhausts_hard_failure =
   Alcotest.(check int) "retries" 2 outcome.Supervisor.retries;
   Alcotest.(check int) "respawns" 2 outcome.Supervisor.respawns;
   Alcotest.(check int) "degraded" 1 outcome.Supervisor.degraded;
-  Alcotest.(check bool) "not complete" false (Supervisor.all_complete outcome);
+  Alcotest.(check bool) "not complete" false (all_complete outcome);
   let degraded_events =
     List.filter
       (function Supervisor.Degraded _ -> true | _ -> false)
@@ -369,7 +372,7 @@ let test_supervisor_sigkill_then_recover =
   in
   let events = ref [] in
   let _, _, outcome = supervise ~worker:(sh_worker script) events in
-  Alcotest.(check bool) "complete" true (Supervisor.all_complete outcome);
+  Alcotest.(check bool) "complete" true (all_complete outcome);
   Alcotest.(check int) "one retry" 1 outcome.Supervisor.retries;
   Alcotest.(check int) "one respawn" 1 outcome.Supervisor.respawns;
   let saw_sigkill =
@@ -395,7 +398,7 @@ let test_supervisor_stalled_heartbeat =
   let _, _, outcome =
     supervise ~heartbeat_timeout_s:0.2 ~worker:(sh_worker script) events
   in
-  Alcotest.(check bool) "complete" true (Supervisor.all_complete outcome);
+  Alcotest.(check bool) "complete" true (all_complete outcome);
   Alcotest.(check int)
     "heartbeat miss counted" 1 outcome.Supervisor.heartbeat_misses;
   let saw_stall =
@@ -418,7 +421,7 @@ let test_supervisor_bad_result_retried =
   in
   let events = ref [] in
   let _, _, outcome = supervise ~worker:(sh_worker script) events in
-  Alcotest.(check bool) "complete" true (Supervisor.all_complete outcome);
+  Alcotest.(check bool) "complete" true (all_complete outcome);
   let saw_bad_result =
     List.exists
       (function
@@ -434,7 +437,7 @@ let test_supervisor_in_process_counters =
   Obs.enable ();
   let events = ref [] in
   let dir, m, outcome = supervise ~worker:Supervisor.In_process events in
-  Alcotest.(check bool) "complete" true (Supervisor.all_complete outcome);
+  Alcotest.(check bool) "complete" true (all_complete outcome);
   let snap = Metrics.snapshot () in
   Alcotest.(check int)
     "shards completed counter" 1
@@ -456,17 +459,21 @@ let test_supervisor_in_process_counters =
   | Ok n -> Alcotest.(check int) "validated rows" (Manifest.run_count m) n
   | Error e -> Alcotest.fail e
 
-let test_supervisor_backoff () =
-  let cfg =
-    Supervisor.config ~backoff_base_s:0.25 ~backoff_cap_s:1.0
-      ~dir:"/nonexistent" ~manifest:(tiny ()) ()
-  in
-  Alcotest.(check (float 1e-9)) "first retry" 0.25
-    (Supervisor.backoff_s cfg ~attempt:2);
-  Alcotest.(check (float 1e-9)) "doubles" 0.5
-    (Supervisor.backoff_s cfg ~attempt:3);
-  Alcotest.(check (float 1e-9)) "capped" 1.0
-    (Supervisor.backoff_s cfg ~attempt:6)
+let test_supervisor_backoff =
+  scrubbed @@ fun () ->
+  (* supervise waits 0.01 s before the first retry, doubling up to a
+     0.05 s cap *)
+  let events = ref [] in
+  let _ = supervise ~retries:4 ~worker:(sh_worker "exit 3") events in
+  Alcotest.(check (list (float 1e-9)))
+    "first retry, doubling, capped" [ 0.01; 0.02; 0.04; 0.05 ]
+    (List.rev_map
+       (function
+         | Supervisor.Attempt_failed { backoff_s; _ } -> backoff_s
+         | _ -> nan)
+       (List.filter
+          (function Supervisor.Attempt_failed _ -> true | _ -> false)
+          !events))
 
 (* ---------- aggregation and degradation ---------- *)
 
@@ -523,7 +530,7 @@ let run_in_process m =
          ~manifest:m ())
   in
   Alcotest.(check bool) "every shard complete" true
-    (Supervisor.all_complete outcome);
+    (all_complete outcome);
   (dir, Aggregate.collect ~dir m)
 
 (* A campaign over Table I twins at the master seed reproduces the
@@ -538,7 +545,7 @@ let test_campaign_matches_runner_table1 =
     List.concat_map
       (fun (row : Report.benchmark_row) ->
         List.map (fun (alg, r) -> (row.circuit, alg, r)) row.results)
-      (Runner.rows Runner.Config.(default |> with_only circuits |> with_seed seed))
+      (Runner.rows { Runner.Config.default with only = Some circuits; seed })
   in
   Alcotest.(check int) "one row per run" (List.length expected)
     (List.length agg.Aggregate.rows);

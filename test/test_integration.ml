@@ -138,7 +138,7 @@ let test_baselines_smoke () =
      go 0)
 
 let test_runner_quick_rows () =
-  let rows = Runner.rows Runner.Config.(default |> with_quick true) in
+  let rows = Runner.rows { Runner.Config.default with quick = true } in
   Alcotest.(check bool) "seven small benchmarks" true (List.length rows = 7);
   List.iter
     (fun row ->
@@ -159,17 +159,14 @@ let large_selection = [ "s13207"; "s15850a" ]
 let traced_rows jobs =
   let module Obs = Sttc_obs.Obs in
   Obs.reset ();
-  Obs.enable ();
-  Obs.attach_pool ();
+  let mf = Filename.temp_file "sttc_rows" ".json" in
   Fun.protect
-    ~finally:(fun () ->
-      Obs.detach_pool ();
-      Obs.disable ();
-      Obs.reset ())
+    ~finally:(fun () -> Sys.remove mf)
     (fun () ->
+      Obs.with_run ~metrics:mf @@ fun () ->
       let rows =
         Runner.rows
-          Runner.Config.(default |> with_only large_selection |> with_jobs jobs)
+          { Runner.Config.default with only = Some large_selection; jobs }
       in
       let spans =
         List.sort_uniq compare

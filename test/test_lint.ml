@@ -19,7 +19,8 @@ let protect ?seed ?fraction ?hardening alg nl =
   (Flow.run ?seed ?fraction ?hardening ~policy:Flow.Strict alg nl).Flow.accepted
 
 
-let fires rule ds = List.exists (D.matches_rule rule) ds
+let matches_rule rule d = D.filter_rules ~only:[ rule ] [ d ] <> []
+let fires rule ds = List.exists (matches_rule rule) ds
 
 let check_fires name rule ds =
   Alcotest.(check bool) (name ^ ": " ^ rule ^ " fires") true (fires rule ds)
@@ -36,9 +37,9 @@ let test_diag_basics () =
   Alcotest.(check string) "key" "STR001@g1" (D.key d1);
   Alcotest.(check string) "key no node" "SEC001@-" (D.key d2);
   Alcotest.(check int) "errors" 1 (D.errors [ d1; d2 ]);
-  Alcotest.(check bool) "match id" true (D.matches_rule "str001" d1);
-  Alcotest.(check bool) "match alias" true (D.matches_rule "comb-loop" d1);
-  Alcotest.(check bool) "no match" false (D.matches_rule "STR002" d1);
+  Alcotest.(check bool) "match id" true (matches_rule "str001" d1);
+  Alcotest.(check bool) "match alias" true (matches_rule "comb-loop" d1);
+  Alcotest.(check bool) "no match" false (matches_rule "STR002" d1);
   Alcotest.(check int) "sort worst first" (-1)
     (compare (D.compare d1 d2) 0);
   Alcotest.(check int) "filter" 1
@@ -81,7 +82,9 @@ let test_diag_render () =
      go 0)
 
 let test_catalog () =
-  Alcotest.(check int) "22 rules" 22 (List.length Lint.catalog);
+  Alcotest.(check int) "22 rules" 22
+    (List.length
+       (Structural.rules @ Sec.rules @ Sem.rules));
   (match Lint.find_rule "comb-loop" with
   | Some r -> Alcotest.(check string) "alias lookup" "STR001" r.Structural.id
   | None -> Alcotest.fail "comb-loop not found");
@@ -319,7 +322,7 @@ let test_sec_timing () =
   check_fires "budget blown" "timing-violation" ds;
   Alcotest.(check bool) "error for parametric LUT on path" true
     (List.exists
-       (fun d -> D.matches_rule "SEC005" d && d.D.severity = D.Error)
+       (fun d -> matches_rule "SEC005" d && d.D.severity = D.Error)
        ds);
   let warn =
     Sec.view ~algorithm:Sec.Independent ~original:nl ~clock_factor:0.5 ~foundry
@@ -327,7 +330,7 @@ let test_sec_timing () =
   in
   Alcotest.(check bool) "warning when not parametric" true
     (List.exists
-       (fun d -> D.matches_rule "SEC005" d && d.D.severity = D.Warning)
+       (fun d -> matches_rule "SEC005" d && d.D.severity = D.Warning)
        (Sec.run warn));
   (* a generous budget passes *)
   let ok =
@@ -378,7 +381,7 @@ let test_sem_const_net () =
   let nl = Netlist.Builder.finalize b in
   let ds = sem nl in
   check_fires "contradiction" "const-net" ds;
-  (match List.find_opt (D.matches_rule "SEM001") ds with
+  (match List.find_opt (matches_rule "SEM001") ds with
   | Some d ->
       Alcotest.(check (option string)) "flags g" (Some "g") d.D.node;
       Alcotest.(check bool) "proved by SAT" true (contains d.D.detail "SAT")
@@ -406,7 +409,7 @@ let test_sem_dead_logic () =
   check_fires "masked LUT" "dead-logic" ds;
   Alcotest.(check bool) "flags l" true
     (List.exists
-       (fun d -> D.matches_rule "SEM002" d && d.D.node = Some "l")
+       (fun d -> matches_rule "SEM002" d && d.D.node = Some "l")
        ds);
   let nl, _ = tiny_comb () in
   check_silent "live AND" "dead-logic" (sem nl)
@@ -417,7 +420,7 @@ let test_sem_key_collapse () =
   check_fires "masked key bits" "key-collapse" ds;
   Alcotest.(check bool) "collapse is an error" true
     (List.exists
-       (fun d -> D.matches_rule "SEM003" d && d.D.severity = D.Error)
+       (fun d -> matches_rule "SEM003" d && d.D.severity = D.Error)
        ds);
   (* an observable LUT keeps its key bits meaningful *)
   let nl, g = tiny_comb () in
@@ -437,7 +440,7 @@ let test_sem_redundant_node () =
   Netlist.Builder.add_output b "y3" g3;
   let nl = Netlist.Builder.finalize b in
   let ds = sem nl in
-  (match List.find_opt (D.matches_rule "SEM004") ds with
+  (match List.find_opt (matches_rule "SEM004") ds with
   | Some d ->
       Alcotest.(check (option string)) "flags g2" (Some "g2") d.D.node;
       Alcotest.(check bool) "names partner" true (contains d.D.detail "g1")
@@ -445,7 +448,7 @@ let test_sem_redundant_node () =
   (* the buffer alias is definitional, not a semantic discovery *)
   Alcotest.(check bool) "buffer not flagged" false
     (List.exists
-       (fun d -> D.matches_rule "SEM004" d && d.D.node = Some "g3")
+       (fun d -> matches_rule "SEM004" d && d.D.node = Some "g3")
        ds)
 
 let test_sem_const_lut_input () =
@@ -479,7 +482,7 @@ let test_sem_eq1_error () =
   let nl, g = tiny_comb () in
   let foundry = Transform.replace_many ~keep_function:false nl [ g ] in
   let ds = sem ~luts:[ g ] foundry in
-  (match List.find_opt (D.matches_rule "SEM008") ds with
+  (match List.find_opt (matches_rule "SEM008") ds with
   | Some d ->
       Alcotest.(check bool) "error severity" true (d.D.severity = D.Error);
       Alcotest.(check bool) "cites Eq. 1" true (contains d.D.detail "Eq. 1");
@@ -496,11 +499,11 @@ let test_sem_eq1_chain () =
   Alcotest.(check int) "no errors" 0 (D.errors ds);
   Alcotest.(check bool) "g1 resolvable warning" true
     (List.exists
-       (fun d -> D.matches_rule "SEM008" d && d.D.node = Some "g1")
+       (fun d -> matches_rule "SEM008" d && d.D.node = Some "g1")
        ds);
   Alcotest.(check bool) "g2 not resolvable" false
     (List.exists
-       (fun d -> D.matches_rule "SEM008" d && d.D.node = Some "g2")
+       (fun d -> matches_rule "SEM008" d && d.D.node = Some "g2")
        ds)
 
 let test_sem_eq1_closure () =
@@ -521,7 +524,7 @@ let test_sem_eq1_closure () =
   Alcotest.(check int) "no errors" 0 (D.errors ds);
   (match
      List.find_opt
-       (fun d -> D.matches_rule "SEM008" d && d.D.node = Some "g2")
+       (fun d -> matches_rule "SEM008" d && d.D.node = Some "g2")
        ds
    with
   | Some d ->
@@ -681,7 +684,7 @@ let test_sem_differential () =
             true
             (List.exists
                (fun d ->
-                 D.matches_rule "SEM001" d
+                 matches_rule "SEM001" d
                  && d.D.node = Some (Netlist.name nl id))
                ds)
       done)
@@ -703,7 +706,7 @@ let test_sem_s27_gate () =
   let ind = sem_of (Flow.Independent { count = 2 }) in
   Alcotest.(check bool) "independent trips SEM008" true
     (List.exists
-       (fun d -> D.matches_rule "SEM008" d && d.D.severity = D.Error)
+       (fun d -> matches_rule "SEM008" d && d.D.severity = D.Error)
        ind);
   let par =
     sem_of

@@ -49,24 +49,14 @@ let test_truth_agreement () =
   Alcotest.(check int) "self" 4
     (Truth.agreement (tt (Gate_fn.And 2)) (tt (Gate_fn.And 2)))
 
-let test_truth_cofactor_support () =
+let test_truth_depends_on () =
   let and2 = Gate_fn.truth (Gate_fn.And 2) in
-  Alcotest.(check string) "cofactor x0=1" "0011"
-    (Truth.to_string (Truth.cofactor and2 0 true));
-  Alcotest.(check string) "cofactor x0=0" "0000"
-    (Truth.to_string (Truth.cofactor and2 0 false));
   Alcotest.(check bool) "depends 0" true (Truth.depends_on and2 0);
-  Alcotest.(check int) "support" 2 (Truth.support_size and2);
-  Alcotest.(check bool) "not degenerate" false (Truth.is_degenerate and2);
-  (* a LUT ignoring one input is degenerate *)
+  Alcotest.(check bool) "depends 1" true (Truth.depends_on and2 1);
+  (* a LUT ignoring one input does not depend on it *)
   let deg = Truth.create ~arity:2 (fun i -> i.(0)) in
-  Alcotest.(check bool) "degenerate" true (Truth.is_degenerate deg)
-
-let test_truth_enumerate () =
-  Alcotest.(check int) "arity 2 count" 16
-    (List.length (List.of_seq (Truth.enumerate ~arity:2)));
-  Alcotest.(check int) "arity 0 count" 2
-    (List.length (List.of_seq (Truth.enumerate ~arity:0)))
+  Alcotest.(check bool) "ignores 1" false (Truth.depends_on deg 1);
+  Alcotest.(check bool) "reads 0" true (Truth.depends_on deg 0)
 
 let test_truth_of_bits_validation () =
   Alcotest.check_raises "stray bits"
@@ -133,17 +123,10 @@ let test_gate_bench_names () =
     (Option.map Gate_fn.to_string (Gate_fn.of_bench_name "AND" ~arity:1))
 
 let test_gate_similarity_metrics () =
-  (* paper: AND2 vs NOR2 -> 2, AND2 vs NAND2 -> 0 *)
-  Alcotest.(check int) "and/nor sim" 2
-    (Gate_fn.similarity (Gate_fn.And 2) (Gate_fn.Nor 2));
-  Alcotest.(check int) "and/nand sim" 0
-    (Gate_fn.similarity (Gate_fn.And 2) (Gate_fn.Nand 2));
-  (* the computed 2-input average sits near the paper's 1.45 *)
-  let avg = Gate_fn.average_similarity 2 in
-  Alcotest.(check bool) "avg similarity plausible" true (avg > 1.2 && avg < 1.8);
-  let alpha = Gate_fn.computed_alpha 2 in
-  Alcotest.(check bool) "alpha = avg+1" true
-    (Float.abs (alpha -. (avg +. 1.)) < 1e-9)
+  (* alpha is one plus the mean pairwise agreement of the six 2-input
+     gates: 24 agreeing rows over 15 pairs, near the paper's 1.45 *)
+  Alcotest.(check (float 1e-9)) "alpha = avg+1" (1. +. (24. /. 15.))
+    (Gate_fn.computed_alpha 2)
 
 let test_gate_paper_constants () =
   Alcotest.(check (float 1e-9)) "alpha2" 2.45 (Gate_fn.paper_alpha 2);
@@ -164,16 +147,15 @@ let test_gate_validation () =
 (* ---------- Ternary ---------- *)
 
 let test_ternary_ops () =
-  Alcotest.(check bool) "0 and X = 0" true
-    (Ternary.equal (Ternary.land_ Ternary.Zero Ternary.X) Ternary.Zero);
-  Alcotest.(check bool) "1 and X = X" true
-    (Ternary.equal (Ternary.land_ Ternary.One Ternary.X) Ternary.X);
-  Alcotest.(check bool) "1 or X = 1" true
-    (Ternary.equal (Ternary.lor_ Ternary.One Ternary.X) Ternary.One);
-  Alcotest.(check bool) "X xor 1 = X" true
-    (Ternary.equal (Ternary.lxor_ Ternary.X Ternary.One) Ternary.X);
-  Alcotest.(check bool) "not X = X" true
-    (Ternary.equal (Ternary.lnot Ternary.X) Ternary.X)
+  let check name fn ins expected =
+    Alcotest.(check bool) name true
+      (Ternary.equal (Ternary.eval_gate fn ins) expected)
+  in
+  check "0 and X = 0" (Gate_fn.And 2) [| Ternary.Zero; Ternary.X |] Ternary.Zero;
+  check "1 and X = X" (Gate_fn.And 2) [| Ternary.One; Ternary.X |] Ternary.X;
+  check "1 or X = 1" (Gate_fn.Or 2) [| Ternary.One; Ternary.X |] Ternary.One;
+  check "X xor 1 = X" (Gate_fn.Xor 2) [| Ternary.X; Ternary.One |] Ternary.X;
+  check "not X = X" Gate_fn.Not [| Ternary.X |] Ternary.X
 
 let test_ternary_gate_eval () =
   (* controlling values decide outputs despite X *)
@@ -328,7 +310,9 @@ let bdd_props =
            let vars = Array.init (Truth.arity t) Fun.id in
            let f = Bdd.of_truth m t ~vars in
            int_of_float (Bdd.sat_count f ~nvars:(Truth.arity t))
-           = Truth.count_ones t));
+           = String.fold_left
+               (fun n c -> if c = '1' then n + 1 else n)
+               0 (Truth.to_string t)));
   ]
 
 (* ---------- Cnf / Sat ---------- *)
@@ -339,6 +323,8 @@ let solve_value cnf =
   | Sat.Unsat -> None
   | Sat.Unknown r -> Alcotest.failf "unbudgeted solve returned Unknown %s" r
 
+let satisfiable cnf = solve_value cnf <> None
+
 let test_sat_trivial () =
   let cnf = Cnf.create () in
   let a = Cnf.fresh_var cnf in
@@ -347,7 +333,7 @@ let test_sat_trivial () =
   | Some model -> Alcotest.(check bool) "a true" true (Sat.model_value model a)
   | None -> Alcotest.fail "expected sat");
   Cnf.add_clause cnf [ -a ];
-  Alcotest.(check bool) "now unsat" false (Sat.is_satisfiable cnf)
+  Alcotest.(check bool) "now unsat" false (satisfiable cnf)
 
 let test_sat_pigeonhole () =
   (* 3 pigeons, 2 holes: classic small UNSAT instance *)
@@ -363,7 +349,7 @@ let test_sat_pigeonhole () =
       done
     done
   done;
-  Alcotest.(check bool) "php(3,2) unsat" false (Sat.is_satisfiable cnf)
+  Alcotest.(check bool) "php(3,2) unsat" false (satisfiable cnf)
 
 let test_sat_assumptions () =
   let cnf = Cnf.create () in
@@ -379,7 +365,7 @@ let test_sat_assumptions () =
     | Sat.Sat _ | Sat.Unknown _ -> false
     | Sat.Unsat -> true);
   Alcotest.(check bool) "still sat without assumption" true
-    (Sat.is_satisfiable cnf)
+    (satisfiable cnf)
 
 let test_sat_gate_encodings () =
   (* every gate encoding agrees with Gate_fn.eval on all input rows *)
@@ -458,14 +444,14 @@ let model_satisfies model cnf =
           if l > 0 then Sat.model_value model l
           else not (Sat.model_value model (-l)))
         clause)
-    (Cnf.clauses cnf)
+    (List.init (Cnf.nclauses cnf) (Cnf.clause cnf))
 
 let sat_props =
   (* random 3-CNF solved by our CDCL vs brute force *)
   let build = build_cnf in
   let brute_sat cnf =
     let n = Cnf.nvars cnf in
-    let clauses = Cnf.clauses cnf in
+    let clauses = List.init (Cnf.nclauses cnf) (Cnf.clause cnf) in
     let rec try_assign a =
       if a >= 1 lsl n then false
       else
@@ -488,7 +474,7 @@ let sat_props =
          gen_cnf
          (fun params ->
            let cnf = build params in
-           Sat.is_satisfiable cnf = brute_sat cnf));
+           satisfiable cnf = brute_sat cnf));
     QCheck_alcotest.to_alcotest
       (QCheck2.Test.make ~name:"models really satisfy" ~count:150 gen_cnf
          (fun params ->
@@ -641,8 +627,8 @@ let test_dimacs_roundtrip () =
   let cnf2 = Dimacs.parse_string text in
   Alcotest.(check int) "nvars" (Cnf.nvars cnf) (Cnf.nvars cnf2);
   Alcotest.(check int) "nclauses" (Cnf.nclauses cnf) (Cnf.nclauses cnf2);
-  Alcotest.(check bool) "same satisfiability" (Sat.is_satisfiable cnf)
-    (Sat.is_satisfiable cnf2)
+  Alcotest.(check bool) "same satisfiability" (satisfiable cnf)
+    (satisfiable cnf2)
 
 let test_dimacs_comments () =
   let cnf = Dimacs.parse_string "c a comment\np cnf 2 1\n1 -2 0\n" in
@@ -728,8 +714,7 @@ let () =
           Alcotest.test_case "string roundtrip" `Quick test_truth_string_roundtrip;
           Alcotest.test_case "boolean ops" `Quick test_truth_ops;
           Alcotest.test_case "agreement (paper examples)" `Quick test_truth_agreement;
-          Alcotest.test_case "cofactor/support" `Quick test_truth_cofactor_support;
-          Alcotest.test_case "enumerate" `Quick test_truth_enumerate;
+          Alcotest.test_case "depends_on" `Quick test_truth_depends_on;
           Alcotest.test_case "of_bits validation" `Quick test_truth_of_bits_validation;
         ]
         @ truth_props );

@@ -451,21 +451,16 @@ let test_opt_const_fold () =
   Netlist.Builder.add_output b "y3" g_or;
   Netlist.Builder.add_output b "y4" g_xor;
   let nl = Netlist.Builder.finalize b in
-  let folded = Sttc_netlist.Opt.const_fold nl in
-  (* AND(a,1) -> BUF(a); NAND(a,0) -> const 1; OR(a,1) -> const 1;
-     XOR(a,1) -> NOT(a) *)
-  (match Netlist.kind folded g_and with
-  | Netlist.Gate Gate_fn.Buf -> ()
-  | _ -> Alcotest.fail "AND(a,1) should fold to BUF");
-  (match Netlist.kind folded g_nand with
-  | Netlist.Const true -> ()
-  | _ -> Alcotest.fail "NAND(a,0) should fold to 1");
-  (match Netlist.kind folded g_or with
-  | Netlist.Const true -> ()
-  | _ -> Alcotest.fail "OR(a,1) should fold to 1");
-  (match Netlist.kind folded g_xor with
-  | Netlist.Gate Gate_fn.Not -> ()
-  | _ -> Alcotest.fail "XOR(a,1) should fold to NOT");
+  let folded = Sttc_netlist.Opt.optimize nl in
+  (* AND(a,1) -> BUF(a) (kept: it drives an output); NAND(a,0) ->
+     const 1; OR(a,1) -> const 1; XOR(a,1) -> NOT(a) *)
+  Alcotest.(check (list string)) "folded gates" [ "BUF"; "NOT" ]
+    (List.map
+       (fun id ->
+         match Netlist.kind folded id with
+         | Netlist.Gate fn -> Gate_fn.to_string fn
+         | _ -> "?")
+       (Netlist.gates folded));
   match Sttc_sim.Equiv.check_sat nl folded with
   | Sttc_sim.Equiv.Equivalent -> ()
   | _ -> Alcotest.fail "const_fold changed the function"
@@ -479,9 +474,13 @@ let test_opt_collapse_buffers () =
   let g = Netlist.Builder.add_gate b "g" (Gate_fn.And 2) [ n2; a ] in
   Netlist.Builder.add_output b "y" g;
   let nl = Netlist.Builder.finalize b in
-  let collapsed = Sttc_netlist.Opt.collapse_buffers nl in
-  (* g's first fanin re-routed through the double inverter to a *)
-  Alcotest.(check int) "rerouted to a" a (Netlist.fanins collapsed g).(0);
+  let collapsed = Sttc_netlist.Opt.optimize nl in
+  (* g's first fanin re-routed through the buffer and the double
+     inverter to a, which leaves g the only gate *)
+  let g' = Netlist.find_exn collapsed "g" in
+  Alcotest.(check string) "rerouted to a" "a"
+    (Netlist.name collapsed (Netlist.fanins collapsed g').(0));
+  Alcotest.(check int) "bypassed cells swept" 1 (Netlist.gate_count collapsed);
   match Sttc_sim.Equiv.check_sat nl collapsed with
   | Sttc_sim.Equiv.Equivalent -> ()
   | _ -> Alcotest.fail "collapse changed the function"
@@ -547,8 +546,18 @@ let test_generator_spec_counts () =
   Alcotest.(check bool) "depth within levels+1" true
     (Query.depth nl <= 10)
 
+let smoke_spec =
+  {
+    Generator.design_name = "smoke";
+    n_pi = 8;
+    n_po = 8;
+    n_ff = 6;
+    n_gates = 60;
+    levels = 6;
+  }
+
 let test_generator_determinism () =
-  let spec = Generator.default_spec in
+  let spec = smoke_spec in
   let a = Bench_io.to_string (Generator.generate ~seed:5 spec) in
   let b = Bench_io.to_string (Generator.generate ~seed:5 spec) in
   Alcotest.(check string) "same seed same circuit" a b;
@@ -560,10 +569,13 @@ let test_generator_validation () =
     (Invalid_argument "Generator: n_pi >= 1 required") (fun () ->
       ignore
         (Generator.generate ~seed:1
-           { Generator.default_spec with Generator.n_pi = 0 }))
+           { smoke_spec with Generator.n_pi = 0 }))
 
 let test_generator_combinational () =
-  let nl = Generator.random_combinational ~seed:2 ~n_pi:6 ~n_gates:40 ~n_po:5 in
+  let nl =
+    Generator.generate ~seed:2
+      { smoke_spec with n_pi = 6; n_po = 5; n_ff = 0; n_gates = 40; levels = 10 }
+  in
   Alcotest.(check int) "no ffs" 0 (List.length (Netlist.dffs nl));
   Alcotest.(check int) "gates" 40 (List.length (Netlist.gates nl))
 
@@ -614,7 +626,7 @@ let test_family_profiles_generate () =
             (Printf.sprintf "%s/%d deterministic" name gates)
             (Bench_io.to_string nl) (Bench_io.to_string again))
         [ 1_000; 5_000 ])
-    Generator.all_profiles
+    Generator.[ Slike; Wide; Deep; Fanout_heavy ]
 
 let test_family_profile_names () =
   List.iter
@@ -626,7 +638,7 @@ let test_family_profile_names () =
             (Generator.profile_name p)
             (Generator.profile_name p')
       | Error m -> Alcotest.fail m)
-    Generator.all_profiles;
+    Generator.[ Slike; Wide; Deep; Fanout_heavy ];
   (match Generator.profile_of_string "s-like" with
   | Ok _ -> ()
   | Error m -> Alcotest.fail m);
@@ -667,7 +679,15 @@ let netlist_props =
          gen_seed
          (fun seed ->
            let nl =
-             Generator.random_combinational ~seed ~n_pi:6 ~n_gates:30 ~n_po:4
+             Generator.generate ~seed
+               {
+                 Generator.design_name = Printf.sprintf "comb%d" seed;
+                 n_pi = 6;
+                 n_po = 4;
+                 n_ff = 0;
+                 n_gates = 30;
+                 levels = 7;
+               }
            in
            match Netlist.gates nl with
            | [] -> true

@@ -256,25 +256,24 @@ let test_export_round_trip =
       | Ok n -> Alcotest.(check int) "series count" 2 n
       | Error e -> Alcotest.fail ("metrics invalid: " ^ e))
 
-let test_export_files =
-  recording (fun () ->
-      Span.with_ "t.file" (fun () -> ());
-      Metrics.incr "t.file_counter";
-      let tf = Filename.temp_file "sttc_trace" ".json" in
-      let mf = Filename.temp_file "sttc_metrics" ".json" in
-      Fun.protect
-        ~finally:(fun () ->
-          Sys.remove tf;
-          Sys.remove mf)
-        (fun () ->
-          Obs.write_trace tf;
-          Obs.write_metrics mf;
-          (match Obs.validate_trace_file tf with
-          | Ok n -> Alcotest.(check int) "file span count" 1 n
-          | Error e -> Alcotest.fail e);
-          match Obs.validate_metrics_file ~min_series:1 mf with
-          | Ok n -> Alcotest.(check int) "file series count" 1 n
-          | Error e -> Alcotest.fail e))
+let test_export_files () =
+  Obs.reset ();
+  let tf = Filename.temp_file "sttc_trace" ".json" in
+  let mf = Filename.temp_file "sttc_metrics" ".json" in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove tf;
+      Sys.remove mf)
+    (fun () ->
+      Obs.with_run ~trace:tf ~metrics:mf (fun () ->
+          Span.with_ "t.file" (fun () -> ());
+          Metrics.incr "t.file_counter");
+      (match Obs.validate_trace_file tf with
+      | Ok n -> Alcotest.(check int) "file span count" 1 n
+      | Error e -> Alcotest.fail e);
+      match Obs.validate_metrics_file ~min_series:1 mf with
+      | Ok n -> Alcotest.(check int) "file series count" 1 n
+      | Error e -> Alcotest.fail e)
 
 let test_validators_reject_garbage () =
   Alcotest.(check bool)
@@ -350,10 +349,11 @@ let test_build_info () =
 
 (* ---------- pool probe ---------- *)
 
-let test_pool_probe =
-  recording (fun () ->
-      Obs.attach_pool ();
-      Fun.protect ~finally:Obs.detach_pool (fun () ->
+let test_pool_probe () =
+  Obs.reset ();
+  let mf = Filename.temp_file "sttc_pool" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove mf) (fun () ->
+      Obs.with_run ~metrics:mf (fun () ->
           Pool.with_pool ~jobs:2 (fun pool ->
               let out =
                 Pool.map_exn pool (fun x -> x * x) (List.init 64 Fun.id)

@@ -160,7 +160,10 @@ let prop_segments_partition_path =
               (fun s -> s.Sttc_analysis.Paths.gates)
               (Sttc_analysis.Paths.segments nl p)
           in
-          from_segments = Sttc_analysis.Paths.gates_on_path nl p)
+          from_segments
+          = List.filter
+              (fun id -> Netlist.is_combinational (Netlist.kind nl id))
+              p.Sttc_analysis.Paths.nodes)
         paths)
 
 let prop_sta_arrival_monotone =
@@ -169,17 +172,14 @@ let prop_sta_arrival_monotone =
     (fun seed ->
       let nl = gen_netlist seed in
       let sta = Sttc_analysis.Sta.analyze Sttc_tech.Library.cmos90 nl in
-      List.for_all
-        (fun (_, path) ->
-          let rec increasing = function
-            | a :: (b :: _ as rest) ->
-                Sttc_analysis.Sta.arrival_ps sta a
-                <= Sttc_analysis.Sta.arrival_ps sta b +. 1e-9
-                && increasing rest
-            | _ -> true
-          in
-          increasing path)
-        (Sttc_analysis.Sta.worst_paths sta ~k:4))
+      let rec increasing = function
+        | a :: (b :: _ as rest) ->
+            Sttc_analysis.Sta.arrival_ps sta a
+            <= Sttc_analysis.Sta.arrival_ps sta b +. 1e-9
+            && increasing rest
+        | _ -> true
+      in
+      increasing (Sttc_analysis.Sta.critical_path sta))
 
 let prop_power_hybrid_exceeds_base =
   QCheck2.Test.make ~name:"replacing gates with STT LUTs never cuts power"
@@ -201,7 +201,17 @@ let prop_sim_matches_bdd =
   QCheck2.Test.make ~name:"bit-parallel simulator agrees with BDD semantics"
     ~count:10 gen_seed
     (fun seed ->
-      let nl = Generator.random_combinational ~seed ~n_pi:6 ~n_gates:25 ~n_po:4 in
+      let nl =
+        Generator.generate ~seed
+          {
+            Generator.design_name = Printf.sprintf "comb%d" seed;
+            n_pi = 6;
+            n_po = 4;
+            n_ff = 0;
+            n_gates = 25;
+            levels = 6;
+          }
+      in
       let m = Sttc_logic.Bdd.manager () in
       let pis = Array.of_list (Netlist.pis nl) in
       let var_of = Hashtbl.create 8 in

@@ -155,6 +155,18 @@ let test_malformed_frames () =
       {|{"name":"parametric","clock_factor":-1}|};
       {|{"name":"parametric","clock_factor":1e999}|};
       {|{"name":"independent","count":0}|};
+    ];
+  (* out-of-range attack configs crash the attack, so they fail here *)
+  List.iter
+    (fun config ->
+      reject config
+        (Printf.sprintf {|{"verb":"attack","netlist":"s27","config":%s}|} config))
+    [
+      {|{"seq_frames":0}|};
+      {|{"seq_frames":-3}|};
+      {|{"brute_max_bits":-1}|};
+      {|{"brute_max_bits":63}|};
+      {|{"brute_max_bits":64}|};
     ]
 
 (* ---------- response codec ---------- *)
@@ -239,14 +251,20 @@ let test_campaign_codec () =
         ];
     }
   in
-  let j = Response.campaign_to_json campaign in
-  match Response.campaign_of_json j with
+  let frame =
+    Response.to_string
+      (Response.Ok
+         { id = None; payload = Response.Attack { campaign; rendered = "r" } })
+  in
+  match Response.of_string frame with
   | Error e -> Alcotest.failf "campaign decode failed: %s" e
-  | Ok c' ->
-      Alcotest.(check string)
-        "campaign json round trip"
-        (Json.to_string j)
-        (Json.to_string (Response.campaign_to_json c'))
+  | Ok r ->
+      (match r with
+      | Response.Ok { payload = Response.Attack { campaign = c'; _ }; _ } ->
+          Alcotest.(check bool) "campaign decodes to itself" true (c' = campaign)
+      | _ -> Alcotest.fail "not an attack response");
+      Alcotest.(check string) "campaign json round trip" frame
+        (Response.to_string r)
 
 (* ---------- session cache ---------- *)
 
@@ -500,6 +518,60 @@ let test_cache_hits_via_stats () =
           (try ignore (shutdown_server socket d) with _ -> ());
           Alcotest.fail "stats verb returned an unexpected payload")
 
+(* A verb that raises answers with an error response, and the handler
+   goes on serving: an unrunnable attack config (zero unrolled frames)
+   is built directly here, bypassing the JSON codec that rejects it.
+   Over the socket the codec is the gate; the daemon's only worker must
+   answer that error and then a ping. *)
+let test_raising_verb_keeps_worker () =
+  let attack =
+    req ~id:"bad"
+      (Request.Attack
+         {
+           source = Request.Named "s27";
+           algorithm = Flow.Dependent;
+           seed = 1;
+           backend = "stt";
+           config = { Harness.Config.default with seq_frames = 0 };
+           timing = false;
+         })
+  in
+  let internal_error = function
+    | Response.Error { message; _ } ->
+        String.starts_with ~prefix:"internal error: " message
+    | _ -> false
+  in
+  let session = Session.create () in
+  Alcotest.(check bool) "offline: internal error response" true
+    (internal_error (Handler.handle session attack));
+  Alcotest.(check bool) "offline: ping still answered" true
+    (match Handler.handle session (req (Request.Ping { sleep_s = 0. })) with
+    | Response.Ok { payload = Response.Pong; _ } -> true
+    | _ -> false);
+  let socket = fresh_socket () in
+  let d =
+    start_server Server.Config.(default |> with_socket socket |> with_jobs 1)
+  in
+  let result =
+    Client.with_connection socket (fun conn ->
+        match Client.request conn attack with
+        | Error _ as e -> e
+        | Ok first -> (
+            match Client.request conn (req (Request.Ping { sleep_s = 0. })) with
+            | Error _ as e -> e
+            | Ok second -> Ok (first, second)))
+  in
+  shutdown_server socket d;
+  match result with
+  | Error e -> Alcotest.failf "daemon client failed: %s" e
+  | Ok (first, second) ->
+      Alcotest.(check bool) "daemon: error response" true
+        (match first with Response.Error _ -> true | _ -> false);
+      Alcotest.(check bool) "daemon: the worker still answers ping" true
+        (match second with
+        | Response.Ok { payload = Response.Pong; _ } -> true
+        | _ -> false)
+
 (* ---------- request budgets ---------- *)
 
 (* One deadline per request, on any domain: attack, semantic lint and
@@ -575,6 +647,8 @@ let () =
             test_backpressure_overloaded;
           Alcotest.test_case "cache hits via stats" `Quick
             test_cache_hits_via_stats;
+          Alcotest.test_case "raising verb keeps the worker" `Quick
+            test_raising_verb_keeps_worker;
         ] );
       ( "budget",
         [

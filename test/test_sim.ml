@@ -92,24 +92,20 @@ let test_sim_lut_config () =
   let outs = Simulator.eval_comb sim [| 0b0101L; 0b0011L |] in
   Alcotest.(check int64) "xor restored" 0b0110L (Int64.logand outs.(0) 0xFL)
 
-let test_sim_eval_truth_lanes () =
-  let xor2 = Truth.of_string "0110" in
-  Alcotest.(check int64) "lanes" 0b0110L
-    (Int64.logand (Simulator.eval_truth_lanes xor2 [| 0b0101L; 0b0011L |]) 0xFL);
-  let const1 = Truth.const_true ~arity:1 in
-  Alcotest.(check int64) "const" (-1L)
-    (Simulator.eval_truth_lanes const1 [| 0b01L |])
-
-let test_sim_run_sequence () =
-  let nl = counter () in
-  let sim = Simulator.create nl in
-  let outs = Simulator.run_sequence sim [ [| full |]; [| full |]; [| 0L |] ] in
-  Alcotest.(check int) "three cycles" 3 (List.length outs)
-
 let test_sim_matches_gate_semantics () =
   (* random circuits: bit-parallel sim vs naive per-gate evaluation *)
   for seed = 0 to 4 do
-    let nl = Generator.random_combinational ~seed ~n_pi:5 ~n_gates:30 ~n_po:4 in
+    let nl =
+      Generator.generate ~seed
+        {
+          Generator.design_name = Printf.sprintf "comb%d" seed;
+          n_pi = 5;
+          n_po = 4;
+          n_ff = 0;
+          n_gates = 30;
+          levels = 7;
+        }
+    in
     let sim = Simulator.create nl in
     let pis = Array.of_list (Netlist.pis nl) in
     let rng = Sttc_util.Rng.make seed in
@@ -159,9 +155,9 @@ let test_ternary_sim_missing_lut_propagates_x () =
   Alcotest.(check bool) "carry still known" true
     (Ternary.equal outs.(1) Ternary.One);
   Alcotest.(check int) "one unknown output" 1
-    (Ternary_sim.unknown_outputs foundry values);
-  Alcotest.(check bool) "x reaches observation" true
-    (Ternary_sim.x_reaches_observation foundry values)
+    (Array.fold_left
+       (fun n v -> if Ternary.equal v Ternary.X then n + 1 else n)
+       0 outs)
 
 let test_ternary_sim_default_state_is_x () =
   let nl = counter () in
@@ -292,8 +288,6 @@ let () =
           Alcotest.test_case "counter sequence" `Quick test_sim_counter_sequence;
           Alcotest.test_case "reset/state" `Quick test_sim_reset_and_state;
           Alcotest.test_case "lut config" `Quick test_sim_lut_config;
-          Alcotest.test_case "eval_truth_lanes" `Quick test_sim_eval_truth_lanes;
-          Alcotest.test_case "run_sequence" `Quick test_sim_run_sequence;
           Alcotest.test_case "matches gate semantics" `Quick
             test_sim_matches_gate_semantics;
         ] );

@@ -32,12 +32,6 @@ let test_cell_stt_activity_independent () =
   Alcotest.(check bool) "cmos is activity dependent" false
     (Cell.activity_independent (Cmos.gate (Gate_fn.Nand 2)))
 
-let test_cell_total_power () =
-  let c = Cmos.gate Gate_fn.Not in
-  let total = Cell.total_power_uw c ~activity:0.1 ~clock_ghz:1. in
-  let dyn = Cell.dynamic_power_uw c ~activity:0.1 ~clock_ghz:1. in
-  check_float "total = dyn + leak" (dyn +. (c.Cell.leakage_nw /. 1000.)) total
-
 (* ---------- CMOS library ---------- *)
 
 let test_cmos_fanin_slows_gates () =
@@ -148,13 +142,14 @@ let test_lut_vs_cmos_calibration () =
   let nand2 = Cmos.gate (Gate_fn.Nand 2) in
   let ratio = lut2.Cell.delay_ps /. nand2.Cell.delay_ps in
   Alcotest.(check bool) "delay ratio 4.5-8x" true (ratio > 4.5 && ratio < 8.);
-  let lut_power = Cell.total_power_uw lut2 ~activity:0.2 ~clock_ghz:1. in
-  let gate_power = Cell.total_power_uw nand2 ~activity:0.2 ~clock_ghz:1. in
+  (* dynamic plus leakage *)
+  let total c =
+    Cell.dynamic_power_uw c ~activity:0.2 ~clock_ghz:1.
+    +. (c.Cell.leakage_nw /. 1000.)
+  in
+  let lut_power = total lut2 and gate_power = total nand2 in
   Alcotest.(check bool) "power ratio 5-20x" true
     (lut_power /. gate_power > 5. && lut_power /. gate_power < 20.);
-  (* non-volatility constants are present and sane *)
-  Alcotest.(check bool) "retention" true (Stt.retention_years >= 10.);
-  Alcotest.(check bool) "endurance" true (Stt.endurance_writes >= 1e15);
   Alcotest.(check bool) "write costly" true
     (Stt.write_energy_fj > lut2.Cell.switch_energy_fj)
 
@@ -167,13 +162,9 @@ let test_sram_baseline () =
     (sram2.Cell.leakage_nw > 3. *. stt2.Cell.leakage_nw);
   Alcotest.(check bool) "sram bigger" true
     (sram2.Cell.area_um2 > stt2.Cell.area_um2);
-  Alcotest.(check bool) "bitstream exposed" true
-    Sttc_tech.Sram_lib.bitstream_exposed;
   (* library style switch reaches the analyses *)
   let stt_lib = Library.cmos90 in
   let sram_lib = Library.with_lut_style stt_lib Library.Sram in
-  Alcotest.(check bool) "style recorded" true
-    (Library.lut_style sram_lib = Library.Sram);
   let kind = Sttc_netlist.Netlist.Lut { arity = 2; config = None } in
   Alcotest.(check bool) "delays differ" true
     (Library.node_delay_ps stt_lib kind <> Library.node_delay_ps sram_lib kind)
@@ -183,8 +174,6 @@ let test_sram_baseline () =
 let test_library_lookup () =
   let lib = Library.cmos90 in
   check_float "default clock" 1.0 (Library.clock_ghz lib);
-  let lib2 = Library.with_clock lib ~ghz:2.0 in
-  check_float "override clock" 2.0 (Library.clock_ghz lib2);
   Alcotest.(check bool) "pi has no cell" true
     (Library.cell_of_kind lib Sttc_netlist.Netlist.Pi = None);
   (match Library.cell_of_kind lib (Sttc_netlist.Netlist.Gate (Gate_fn.Nand 2)) with
@@ -205,7 +194,6 @@ let () =
           Alcotest.test_case "power model" `Quick test_cell_power_model;
           Alcotest.test_case "stt activity independence" `Quick
             test_cell_stt_activity_independent;
-          Alcotest.test_case "total power" `Quick test_cell_total_power;
         ] );
       ( "cmos",
         [

@@ -42,6 +42,82 @@ if [ -n "$orphans" ]; then
   exit 1
 fi
 
+echo "== value reachability gate (every lib val is named by another non-test file)"
+# The same rule one level down: each `val` of a lib/*/*.mli must be named
+# in some .ml/.mli of lib/, bin/, bench/, examples/ or perfbench/ other
+# than its own module's pair.  Names count bare, outside comments and
+# string literals, so this is a floor: a common name can hide a dead
+# value.  Allowlist (Mod.val or Mod.*: reason):
+#   Bdd.*:                the BDD engine ROADMAP item 5 replaces or adopts.
+#   Dimacs.*:             the test-corpus reader (see the module gate).
+#   Sta.arrival_ps:       test oracle: the incremental-STA properties
+#                         compare every node's arrival with a full analysis.
+#   Activity.probability: test oracle: the same check for the incremental
+#                         activity refine, and the activity model tests.
+VAL_ALLOW="Bdd.* Dimacs.* Sta.arrival_ps Activity.probability"
+prod_files=$(find lib bin bench examples perfbench \
+  \( -name '_build' -o -name '.*' \) -prune -o \
+  \( -name '*.ml' -o -name '*.mli' \) -print | sort)
+# Pass 1 strips comments, string and char literals from every production
+# file and prints `TOK file ident` once per identifier and file, plus
+# `VAL file name` for each `val name` of a lib/*/*.mli.  Pass 2 reports
+# every val no other file names.
+unreached=$(awk '
+  FNR == 1 { depth = 0; instr = 0; inq = 0 }
+  {
+    line = $0; n = length(line); out = ""
+    for (i = 1; i <= n; i++) {
+      c = substr(line, i, 1); c2 = substr(line, i, 2)
+      if (instr) { if (c == "\\") i++; else if (c == "\"") instr = 0; continue }
+      if (inq) { if (c2 == "|}") { inq = 0; i++ }; continue }
+      if (depth > 0) {
+        if (c2 == "(*") { depth++; i++ } else if (c2 == "*)") { depth--; i++ }
+        continue
+      }
+      if (c2 == "(*") { depth = 1; i++; out = out " "; continue }
+      if (c == "\"") { instr = 1; out = out " "; continue }
+      if (c2 == "{|") { inq = 1; i++; out = out " "; continue }
+      if (c == "\047" && substr(line, i + 2, 1) == "\047") { i += 2; out = out " "; continue }
+      if (c == "\047" && substr(line, i + 1, 1) == "\\") {
+        j = index(substr(line, i + 3), "\047")
+        if (j) { i += j + 2; out = out " "; continue }
+      }
+      out = out c
+    }
+    if (FILENAME ~ /^lib\/[^\/]*\/[^\/]*\.mli$/) {
+      rest = out
+      while (match(rest, /(^|[^A-Za-z0-9_\047.])val[ \t]+[a-z_][A-Za-z0-9_\047]*/)) {
+        decl = substr(rest, RSTART, RLENGTH); rest = substr(rest, RSTART + RLENGTH)
+        sub(/^.*val[ \t]+/, "", decl)
+        print "VAL\t" FILENAME "\t" decl
+      }
+    }
+    m = split(out, toks, /[^A-Za-z0-9_\047]+/)
+    for (k = 1; k <= m; k++)
+      if (toks[k] != "" && !((FILENAME, toks[k]) in seen)) {
+        seen[FILENAME, toks[k]] = 1
+        print "TOK\t" FILENAME "\t" toks[k]
+      }
+  }' $prod_files | awk -F '\t' -v allow=" $VAL_ALLOW " '
+  $1 == "TOK" { users[$3] = users[$3] " " $2; next }
+  { nv++; vmli[nv] = $2; vname[nv] = $3 }
+  END {
+    for (v = 1; v <= nv; v++) {
+      mli = vmli[v]; ml = substr(mli, 1, length(mli) - 1)
+      m = split(users[vname[v]], fs, " "); ok = 0
+      for (k = 1; k <= m; k++) if (fs[k] != mli && fs[k] != ml) { ok = 1; break }
+      if (ok) continue
+      mod = ml; sub(/^.*\//, "", mod); sub(/\.ml$/, "", mod)
+      mod = toupper(substr(mod, 1, 1)) substr(mod, 2)
+      if (index(allow, " " mod ".* ") || index(allow, " " mod "." vname[v] " ")) continue
+      print mod "." vname[v]
+    }
+  }' | sort -u | tr '\n' ' ')
+if [ -n "$unreached" ]; then
+  echo "VALUE REACHABILITY GATE FAILED: no production caller for: $unreached" >&2
+  exit 1
+fi
+
 echo "== dune runtest"
 dune runtest
 
@@ -366,6 +442,12 @@ budget_status=0
 budget_lint=$(timeout 5 "$STTC_BIN" client --socket "$BSOCK" --request \
   '{"verb":"lint","netlist":"s5378a","semantic":true,"timeout_s":0.2}') \
   || budget_status=$?
+# an attack config the attack cannot run is a bad request, not a dead
+# worker
+frames_status=0
+frames_out=$(timeout 5 "$STTC_BIN" client --socket "$BSOCK" --request \
+  '{"verb":"attack","netlist":"s27","algorithm":"dependent","config":{"seq_frames":0}}') \
+  || frames_status=$?
 budget_ping=$(timeout 5 "$STTC_BIN" client --socket "$BSOCK" --request \
   '{"verb":"ping"}') || budget_ping="unanswered (exit $?)"
 "$STTC_BIN" client --socket "$BSOCK" --request '{"verb":"shutdown"}' > /dev/null || true
@@ -373,6 +455,11 @@ wait $BUDGET_PID || true
 case "$budget_status:$budget_lint" in
   1:*"$BUDGET_MSG"*) ;;
   *) echo "BUDGET GATE FAILED: daemon s5378a lint (exit $budget_status): $budget_lint" >&2
+     exit 1 ;;
+esac
+case "$frames_status:$frames_out" in
+  1:*'"message":"bad request: harness config: \"seq_frames\"'*) ;;
+  *) echo "BUDGET GATE FAILED: daemon seq_frames:0 attack (exit $frames_status): $frames_out" >&2
      exit 1 ;;
 esac
 if [ "$budget_ping" != '{"status":"ok","verb":"ping"}' ]; then
