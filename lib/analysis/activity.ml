@@ -8,23 +8,25 @@ type t = {
 }
 
 (* Exact output probability of a truth table given independent input
-   one-probabilities. *)
-let truth_probability table input_probs =
+   one-probabilities, read and stored in place: input [k] has probability
+   [prob.(fanins.(k))] and the result goes to [prob.(id)], so a sweep
+   allocates nothing per gate. *)
+let propagate prob id table fanins =
   let n = Truth.arity table in
-  assert (Array.length input_probs = n);
+  assert (Array.length fanins = n);
   let total = ref 0. in
   for r = 0 to (1 lsl n) - 1 do
     if Truth.row table r then begin
       let p = ref 1. in
       for k = 0 to n - 1 do
-        let pk = input_probs.(k) in
+        let pk = prob.(fanins.(k)) in
         p := !p *. (if (r lsr k) land 1 = 1 then pk else 1. -. pk)
       done;
       total := !total +. !p
     end
   done;
   (* rounding across many rows can drift a hair outside [0,1] *)
-  Float.min 1. (Float.max 0. !total)
+  prob.(id) <- Float.min 1. (Float.max 0. !total)
 
 let analyze ?(pi_probability = 0.5) nl =
   if pi_probability < 0. || pi_probability > 1. then
@@ -45,11 +47,9 @@ let analyze ?(pi_probability = 0.5) nl =
         let node = Netlist.node nl id in
         match node.Netlist.kind with
         | Netlist.Gate fn ->
-            let ip = Array.map (fun s -> prob.(s)) node.Netlist.fanins in
-            prob.(id) <- truth_probability (Gate_fn.truth fn) ip
+            propagate prob id (Gate_fn.truth fn) node.Netlist.fanins
         | Netlist.Lut { config = Some c; _ } ->
-            let ip = Array.map (fun s -> prob.(s)) node.Netlist.fanins in
-            prob.(id) <- truth_probability c ip
+            propagate prob id c node.Netlist.fanins
         | Netlist.Lut { config = None; _ } -> prob.(id) <- 0.5
         | Netlist.Pi | Netlist.Const _ | Netlist.Dff -> ())
       order
@@ -167,11 +167,9 @@ let refine t nl ~changed =
                 let node = Netlist.node nl id in
                 match node.Netlist.kind with
                 | Netlist.Gate fn ->
-                    let ip = Array.map (fun s -> prob.(s)) node.Netlist.fanins in
-                    prob.(id) <- truth_probability (Gate_fn.truth fn) ip
+                    propagate prob id (Gate_fn.truth fn) node.Netlist.fanins
                 | Netlist.Lut { config = Some c; _ } ->
-                    let ip = Array.map (fun s -> prob.(s)) node.Netlist.fanins in
-                    prob.(id) <- truth_probability c ip
+                    propagate prob id c node.Netlist.fanins
                 | Netlist.Lut { config = None; _ } -> prob.(id) <- 0.5
                 | Netlist.Pi | Netlist.Const _ | Netlist.Dff -> ())
             (Netlist.topo_order nl);

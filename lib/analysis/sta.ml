@@ -37,10 +37,12 @@ let node_arrival lib nl arrival id kind =
          of this node's output arrival *)
       (Library.dff_cell lib).Sttc_tech.Cell.delay_ps
   | Netlist.Gate _ | Netlist.Lut _ ->
+      let fanins = Netlist.fanins nl id in
       let worst = ref 0. in
-      Array.iter
-        (fun src -> if arrival.(src) > !worst then worst := arrival.(src))
-        (Netlist.fanins nl id);
+      for k = 0 to Array.length fanins - 1 do
+        let a = arrival.(fanins.(k)) in
+        if a > !worst then worst := a
+      done;
       !worst +. Library.node_delay_ps lib kind
 
 let finish nl arrival endpoint_ids =

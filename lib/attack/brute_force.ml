@@ -63,6 +63,11 @@ let candidate_matches ~vectors ~rng oracle hybrid bitstream =
   !ok
 
 let run ?(max_bits = 18) ?(seed = 0xb0f) hybrid =
+  (* the search counts candidates in an Int64: 2^63 would wrap *)
+  if max_bits < 0 || max_bits > 62 then
+    invalid_arg
+      (Printf.sprintf "Brute_force.run: max_bits must be in 0..62, not %d"
+         max_bits);
   let t0 = Sttc_util.Deadline.now_s () in
   let bits = Hybrid.bitstream_bits hybrid in
   let space = search_space hybrid in

@@ -27,6 +27,8 @@ val run :
   outcome
 (** [max_bits] (default 18) caps the exhaustively searchable configuration
     size; larger hybrids return {!Infeasible} with a measured projection.
+    It must lie in 0..62 (the candidate index is an [Int64]); any other
+    value raises [Invalid_argument].
     A candidate survives when 512 random combinational-view queries
     match the oracle; the first survivor is confirmed by SAT equivalence
     (and search continues past false positives). *)

@@ -82,7 +82,7 @@ let no_hardening = { extra_inputs_per_lut = 0; absorb_drivers = false }
 
 let protect ?(seed = 1) ?(library = Sttc_tech.Library.cmos90)
     ?(fraction = 0.02) ?(hardening = no_hardening)
-    ?(backend = Backend.stt) ?base_sta algorithm netlist =
+    ?(backend = Backend.stt) ?baseline algorithm netlist =
   Sttc_obs.Span.with_ "flow.protect" ~cat:"core"
     ~attrs:
       [
@@ -101,10 +101,33 @@ let protect ?(seed = 1) ?(library = Sttc_tech.Library.cmos90)
     invalid_arg
       ("Flow.run: hardening requires a free-function backend, not "
       ^ Backend.name backend);
+  (* The default backend prices with the caller's library as given (it
+     may deliberately carry the SRAM style for the Section II
+     comparison); any other backend forces its own cell technology. *)
+  let eval_library =
+    if backend == Backend.stt then library
+    else Backend.eval_library backend library
+  in
+  (* A supplied baseline must price this netlist with [eval_library]; its
+     STA then also seeds selection, which times with [library] — the same
+     analysis when the two libraries agree or no LUT cell tells them
+     apart. *)
+  let baseline =
+    match baseline with
+    | Some b
+      when Ppa.built_for b eval_library netlist
+           && (eval_library = library || Netlist.luts netlist = []) ->
+        Some b
+    | Some _ | None -> None
+  in
   let rng = Rng.make (seed lxor Hashtbl.hash (algorithm_name algorithm)) in
   let (hybrid, meta, base_sta), selection_seconds =
     Sttc_util.Timing.time (fun () ->
-        let ctx = Select.prepare ~rng ~fraction ?sta:base_sta library netlist in
+        let ctx =
+          Select.prepare ~rng ~fraction
+            ?sta:(Option.map Ppa.baseline_sta baseline)
+            library netlist
+        in
         (* the protect passes are whole-design sweeps: the budget is
            polled between them, and inside the selection loops *)
         Sttc_util.Deadline.check ();
@@ -197,14 +220,11 @@ let protect ?(seed = 1) ?(library = Sttc_tech.Library.cmos90)
       (Hybrid.foundry_view hybrid) ~luts:(Hybrid.lut_ids hybrid)
   in
   let overhead =
-    (* The default backend prices with the caller's library as given (it
-       may deliberately carry the SRAM style for the Section II
-       comparison); any other backend forces its own cell technology. *)
-    let eval_library =
-      if backend == Backend.stt then library
-      else Backend.eval_library backend library
+    let baseline =
+      match baseline with
+      | Some b -> b
+      | None -> Ppa.baseline ~sta:base_sta eval_library netlist
     in
-    let baseline = Ppa.baseline ~sta:base_sta eval_library netlist in
     Sttc_util.Deadline.check ();
     Ppa.evaluate ~baseline eval_library ~base:netlist
       ~hybrid:(Hybrid.programmed hybrid)
@@ -226,14 +246,14 @@ type policy = Strict
 
 type outcome = { accepted : result }
 
-let run ?seed ?library ?fraction ?hardening ?backend ?base_sta ~policy:Strict
+let run ?seed ?library ?fraction ?hardening ?backend ?baseline ~policy:Strict
     algorithm netlist =
   Sttc_obs.Span.with_ "flow.run" ~cat:"core"
     ~attrs:[ ("algorithm", algorithm_name algorithm) ]
   @@ fun () ->
   {
     accepted =
-      protect ?seed ?library ?fraction ?hardening ?backend ?base_sta algorithm
+      protect ?seed ?library ?fraction ?hardening ?backend ?baseline algorithm
         netlist;
   }
 

@@ -74,7 +74,7 @@ val run :
   ?fraction:float ->
   ?hardening:hardening ->
   ?backend:Sttc_backend.Backend.t ->
-  ?base_sta:Sttc_analysis.Sta.t ->
+  ?baseline:Ppa.baseline ->
   policy:policy ->
   algorithm ->
   Sttc_netlist.Netlist.t ->
@@ -91,10 +91,17 @@ val run :
     raises [Invalid_argument] under a candidate-restricted backend
     (e.g. [tvd]): its cells cannot realize the expanded functions.
 
-    [base_sta] supplies a memoized timing analysis of the input netlist
-    (e.g. the serve session cache); it is used only when it was computed
-    on this exact netlist value, so it can never change results — only
-    skip the base [Sta.analyze]. *)
+    [baseline] is the per-design context: the base-side analyses of the
+    input netlist ({!Ppa.baseline}), built once and shared by every
+    protect of that netlist (the three algorithms of a Table I row, the
+    serve session cache).  Its STA seeds selection and its analyses
+    price the hybrid.  It is used only when it was built on this exact
+    netlist value with the library the flow prices with
+    ({!Ppa.built_for}: [library], or the backend's own technology for a
+    non-default backend) and, for an input that already holds LUT cells,
+    when that library is [library] itself; otherwise the flow rebuilds
+    it as without one.  So it can never change results — only skip the
+    base analyses. *)
 
 val lint_security :
   ?library:Sttc_tech.Library.t ->

@@ -19,6 +19,7 @@ type overhead = {
 
 type baseline = {
   b_netlist : Netlist.t;
+  b_library : Sttc_tech.Library.t;
   b_sta : Sta.t;
   b_activity : Activity.t;
   b_power : Power.report;
@@ -34,16 +35,22 @@ let baseline ?sta lib nl =
   let b_activity = Activity.analyze nl in
   {
     b_netlist = nl;
+    b_library = lib;
     b_sta;
     b_activity;
     b_power = Power.estimate ~activity:b_activity lib nl;
     b_area = Area.estimate lib nl;
   }
 
+(* Libraries are small immutable records, rebuilt per call by
+   [with_lut_style]: compare them structurally. *)
+let built_for b lib nl = b.b_netlist == nl && b.b_library = lib
+let baseline_sta b = b.b_sta
+
 let evaluate ?baseline:b lib ~base ~hybrid =
   let bl =
     match b with
-    | Some bl when bl.b_netlist == base -> bl
+    | Some bl when built_for bl lib base -> bl
     | Some _ | None -> baseline lib base
   in
   let sta_h, act_h =

@@ -16,8 +16,10 @@ type overhead = {
 }
 
 type baseline
-(** Cached base-side analyses (STA, activity, power, area) so repeated
-    evaluations against the same original pay for them once. *)
+(** The per-design context: the base-side analyses (STA, activity,
+    power, area) of one netlist under one library, so every evaluation
+    against the same original — the three algorithms of a Table I row,
+    the repeated protects of a serve session — pays for them once. *)
 
 val baseline :
   ?sta:Sttc_analysis.Sta.t ->
@@ -26,6 +28,15 @@ val baseline :
   baseline
 (** [?sta] reuses a precomputed timing analysis when it was computed on
     this exact netlist value (physical equality). *)
+
+val built_for : baseline -> Sttc_tech.Library.t -> Sttc_netlist.Netlist.t -> bool
+(** The reuse rule: the baseline was built on this exact netlist value
+    (physical equality) with a structurally equal library.  Any other
+    baseline would price against the wrong original, so {!evaluate} and
+    the protect flow rebuild instead of using it. *)
+
+val baseline_sta : baseline -> Sttc_analysis.Sta.t
+(** The base timing analysis, which also seeds selection. *)
 
 val evaluate :
   ?baseline:baseline ->
@@ -37,8 +48,8 @@ val evaluate :
     signal activities (the foundry view works too: unknown LUTs default to
     activity 0.5, and STT LUT power is activity-independent anyway).
 
-    A supplied [?baseline] is used when it was built on [base] itself
-    (physical equality; otherwise it is rebuilt).  The hybrid side is
+    A supplied [?baseline] is used when {!built_for} [lib] and [base]
+    holds; otherwise it is rebuilt.  The hybrid side is
     analyzed incrementally ({!Sttc_analysis.Sta.retime} /
     {!Sttc_analysis.Activity.refine}) when the hybrid is id-compatible
     with the base — bit-identical to the full analyses, which remain the

@@ -9,8 +9,9 @@ let master_seed = 20160605 (* DAC'16 *)
 (* Every stage below is deterministic in its seed alone, so protecting a
    benchmark on a worker domain gives the same result as on the main
    one. *)
-let strict ~seed ?hardening ?backend alg nl =
-  (Flow.run ~seed ?hardening ?backend ~policy:Flow.Strict alg nl).Flow.accepted
+let strict ~seed ?hardening ?backend ?baseline alg nl =
+  (Flow.run ~seed ?hardening ?backend ?baseline ~policy:Flow.Strict alg nl)
+    .Flow.accepted
 
 (* ---------- configuration ---------- *)
 
@@ -31,7 +32,10 @@ end
 
 (* ---------- benchmark rows ---------- *)
 
-let build info =
+(* A benchmark's netlist and its per-design baseline, priced with the
+   library Flow uses under [backend]: the three protects of its row share
+   both. *)
+let build ~backend info =
   let name = info.Profiles.name in
   Sttc_obs.Metrics.incr "runner.benchmarks";
   let t0 = Pool.now_s () in
@@ -44,15 +48,20 @@ let build info =
   (* force the lazy topology caches while the netlist is still private
      to this task: the protect tasks read it from several domains *)
   Sttc_netlist.Netlist.warm nl;
-  (info, nl)
+  let baseline =
+    Sttc_core.Ppa.baseline
+      (Backend.eval_library backend Sttc_tech.Library.cmos90)
+      nl
+  in
+  (info, nl, baseline)
 
-let protect ~seed ~backend (info, nl, alg) =
+let protect ~seed ~backend (info, nl, baseline, alg) =
   let alg_name = Flow.algorithm_name alg in
   let t0 = Pool.now_s () in
   let r =
     Sttc_obs.Span.with_ "runner.protect" ~cat:"experiments"
       ~attrs:[ ("benchmark", info.Profiles.name); ("algorithm", alg_name) ]
-      (fun () -> strict ~seed ~backend alg nl)
+      (fun () -> strict ~seed ~backend ~baseline alg nl)
   in
   Sttc_obs.Metrics.observe "runner.protect_seconds" (Pool.now_s () -. t0);
   (info.Profiles.name, (alg_name, r))
@@ -60,17 +69,19 @@ let protect ~seed ~backend (info, nl, alg) =
 (* One fan-out for every job count: a build task per benchmark, then a
    protect task per benchmark x algorithm, through the same [map].  Each
    task depends only on [seed], so results assembled in submission order
-   are the same rows whichever mapper ran them. *)
+   are the same rows whichever mapper ran them.  A build's netlist and
+   baseline are read-only once built, so its protects share them across
+   domains. *)
 let fan_out ~seed ~backend pool infos =
   let map f xs =
     match pool with None -> List.map f xs | Some p -> Pool.map_exn p f xs
   in
-  let builds = map build infos in
+  let builds = map (build ~backend) infos in
   let protects =
     map (protect ~seed ~backend)
       (List.concat_map
-         (fun (info, nl) ->
-           List.map (fun alg -> (info, nl, alg)) Flow.default_algorithms)
+         (fun (info, nl, baseline) ->
+           List.map (fun alg -> (info, nl, baseline, alg)) Flow.default_algorithms)
          builds)
   in
   List.map

@@ -34,7 +34,40 @@ let eval t inputs =
   | Xor _ -> parity ()
   | Xnor _ -> not (parity ())
 
-let truth t = Truth.create ~arity:(arity t) (eval t)
+(* Every gate's truth table, built once at module initialisation: the
+   analyses look one up per node visit.  Rows are the multi-input
+   constructors in declaration order, columns their arity 0..max_arity —
+   the arities [Truth.create] accepts, so the lookup returns exactly what
+   deriving the table on the spot would. *)
+let derive t = Truth.create ~arity:(arity t) (eval t)
+let buf_truth = derive Buf
+let not_truth = derive Not
+
+let multi_truth =
+  Array.map
+    (fun make -> Array.init (Truth.max_arity + 1) (fun n -> derive (make n)))
+    [|
+      (fun n -> And n);
+      (fun n -> Nand n);
+      (fun n -> Or n);
+      (fun n -> Nor n);
+      (fun n -> Xor n);
+      (fun n -> Xnor n);
+    |]
+
+let multi row n =
+  if n < 0 || n > Truth.max_arity then invalid_arg "Truth: arity out of range";
+  multi_truth.(row).(n)
+
+let truth = function
+  | Buf -> buf_truth
+  | Not -> not_truth
+  | And n -> multi 0 n
+  | Nand n -> multi 1 n
+  | Or n -> multi 2 n
+  | Nor n -> multi 3 n
+  | Xor n -> multi 4 n
+  | Xnor n -> multi 5 n
 
 let name = function
   | Buf -> "BUFF"

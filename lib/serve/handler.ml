@@ -30,15 +30,19 @@ let do_protect session (p : Request.protect) =
   match Session.netlist session p.source with
   | Error _ as e -> e
   | Ok nl -> (
-      let base_sta = Session.sta session p.source nl in
       match Sttc_backend.Backend.find_exn p.backend with
       | exception Invalid_argument m -> Error m
       | backend -> (
+      (* the library Flow prices with under [backend] *)
+      let baseline =
+        Session.baseline session p.source nl
+          (Sttc_backend.Backend.eval_library backend Sttc_tech.Library.cmos90)
+      in
       match
         Flow.run ~seed:p.seed
           ?fraction:p.config.Sttc_campaign.Manifest.fraction
           ~hardening:(hardening_of_config p.config)
-          ~backend ~base_sta ~policy:Flow.Strict p.algorithm nl
+          ~backend ~baseline ~policy:Flow.Strict p.algorithm nl
       with
       | exception Invalid_argument m -> Error m
       | resilient ->

@@ -1,11 +1,11 @@
 module Metrics = Sttc_obs.Metrics
 module Netlist = Sttc_netlist.Netlist
-module Sta = Sttc_analysis.Sta
+module Ppa = Sttc_core.Ppa
 
 type entry = {
   netlist : Netlist.t;
   mutable stamp : int;
-  mutable sta : Sta.t option;
+  mutable baseline : Ppa.baseline option;
 }
 
 type t = {
@@ -92,36 +92,40 @@ let netlist t source =
                 | None ->
                     t.tick <- t.tick + 1;
                     Hashtbl.replace t.table k
-                      { netlist = nl; stamp = t.tick; sta = None };
+                      { netlist = nl; stamp = t.tick; baseline = None };
                     evict_over_capacity t);
                 Ok nl))
 
-let sta t source nl =
-  let compute () = Sta.analyze Sttc_tech.Library.cmos90 nl in
+let baseline t source nl library =
+  let compute () = Ppa.baseline library nl in
   if t.capacity <= 0 then begin
-    Metrics.incr "serve.sta_cache_misses";
+    Metrics.incr "serve.baseline_cache_misses";
     compute ()
   end
   else
     let k = key source in
+    let fits = function
+      | Some b when Ppa.built_for b library nl -> Some b
+      | Some _ | None -> None
+    in
     let cached =
       locked t (fun () ->
           match Hashtbl.find_opt t.table k with
-          | Some e when e.netlist == nl -> e.sta
-          | Some _ | None -> None)
+          | Some e -> fits e.baseline
+          | None -> None)
     in
     match cached with
-    | Some s ->
-        Metrics.incr "serve.sta_cache_hits";
-        s
+    | Some b ->
+        Metrics.incr "serve.baseline_cache_hits";
+        b
     | None ->
-        Metrics.incr "serve.sta_cache_misses";
+        Metrics.incr "serve.baseline_cache_misses";
         (* analyze outside the lock; concurrent misses both compute the
            same deterministic result and one insert wins harmlessly *)
-        let s = compute () in
+        let b = compute () in
         locked t (fun () ->
             (match Hashtbl.find_opt t.table k with
-            | Some e when e.netlist == nl -> (
-                match e.sta with None -> e.sta <- Some s | Some _ -> ())
+            | Some e when e.netlist == nl ->
+                if Option.is_none (fits e.baseline) then e.baseline <- Some b
             | Some _ | None -> ());
-            s)
+            b)

@@ -13,13 +13,14 @@
     {!Request.Inline} ones — so two clients shipping the same netlist
     text share one entry.
 
-    Each entry also memoizes the base timing analysis of its netlist
-    (computed on first use by a protect request), so repeated requests on
-    a warm entry skip the base [Sta.analyze] entirely.
+    Each entry also memoizes the per-design baseline of its netlist
+    ({!Sttc_core.Ppa.baseline}: base STA, activity, power and area,
+    computed on first use by a protect request), so repeated requests on
+    a warm entry skip the base analyses entirely.
 
     Metrics: [serve.cache_hits], [serve.cache_misses],
-    [serve.cache_evictions], [serve.sta_cache_hits],
-    [serve.sta_cache_misses]. *)
+    [serve.cache_evictions], [serve.baseline_cache_hits],
+    [serve.baseline_cache_misses]. *)
 
 type t
 
@@ -35,11 +36,18 @@ val netlist : t -> Request.source -> (Sttc_netlist.Netlist.t, string) result
     so a slow parse never blocks cache hits.  Errors are unknown
     benchmark names or .bench parse failures. *)
 
-val sta : t -> Request.source -> Sttc_netlist.Netlist.t -> Sttc_analysis.Sta.t
-(** The base timing analysis (default {!Sttc_tech.Library.cmos90}) of a
-    netlist previously resolved with {!netlist}, memoized on its cache
-    entry.  The memo is used only when the entry still holds this exact
-    netlist value, so a stale or evicted entry can never serve a wrong
-    analysis — it just recomputes.  Thread-safe; the analysis runs
-    outside the lock.  Counters: [serve.sta_cache_hits] /
-    [serve.sta_cache_misses]. *)
+val baseline :
+  t ->
+  Request.source ->
+  Sttc_netlist.Netlist.t ->
+  Sttc_tech.Library.t ->
+  Sttc_core.Ppa.baseline
+(** [baseline t source nl library] is the per-design baseline of a
+    netlist previously resolved with {!netlist}, priced with [library],
+    memoized on its cache entry.  The memo is used only when
+    {!Sttc_core.Ppa.built_for} holds for this exact netlist value and
+    [library], so a stale or evicted entry, or one priced with another
+    library, can never serve a wrong baseline — it just recomputes (and
+    the entry keeps the latest library's).  Thread-safe; the analyses
+    run outside the lock.  Counters: [serve.baseline_cache_hits] /
+    [serve.baseline_cache_misses]. *)

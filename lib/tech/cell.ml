@@ -24,3 +24,10 @@ let dynamic_power_uw c ~activity ~clock_ghz =
   (* fJ * GHz = microwatt *)
   let effective = if activity_independent c then 1. else activity in
   effective *. c.switch_energy_fj *. clock_ghz
+
+let by_fan_in ~what cell =
+  let max = Sttc_logic.Truth.max_arity in
+  let cells = Array.init max (fun i -> cell (i + 1)) in
+  fun n ->
+    if n < 1 || n > max then invalid_arg (what ^ ": arity out of range");
+    cells.(n - 1)

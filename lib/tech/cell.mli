@@ -35,3 +35,10 @@ val dynamic_power_uw :
 (** Average dynamic power.  For CMOS/DFF cells this is
     [activity * E_sw * f]; for STT LUTs it is [E_sw * f] regardless of
     [activity]. *)
+
+val by_fan_in : what:string -> (int -> t) -> int -> t
+(** [by_fan_in ~what cell] tabulates [cell n] for every fan-in
+    [1..Truth.max_arity] once, when applied (at module initialisation
+    for the LUT libraries, whose analyses look a cell up per node
+    visit), and returns the lookup.  Other fan-ins raise
+    [Invalid_argument (what ^ ": arity out of range")]. *)

@@ -44,8 +44,7 @@ let leakage_nw fn =
 
 let area_um2 fn = area_unit_um2 *. float_of_int (transistor_count fn)
 
-let gate fn =
-  Gate_fn.validate fn;
+let cell fn =
   {
     Cell.cell_name = Gate_fn.to_string fn;
     style = Cell.Cmos;
@@ -55,6 +54,27 @@ let gate fn =
     leakage_nw = leakage_nw fn;
     area_um2 = area_um2 fn;
   }
+
+(* Every supported gate's cell, built once at module initialisation: the
+   analyses look one up per node visit.  Row [n] holds
+   [Gate_fn.all_of_arity n] in order. *)
+let cells =
+  Array.init (Sttc_logic.Truth.max_arity + 1) (fun n ->
+      if n = 0 then [||]
+      else Array.of_list (List.map cell (Gate_fn.all_of_arity n)))
+
+let gate fn =
+  Gate_fn.validate fn;
+  let slot =
+    match fn with
+    | Gate_fn.Buf | Gate_fn.And _ -> 0
+    | Gate_fn.Not | Gate_fn.Nand _ -> 1
+    | Gate_fn.Or _ -> 2
+    | Gate_fn.Nor _ -> 3
+    | Gate_fn.Xor _ -> 4
+    | Gate_fn.Xnor _ -> 5
+  in
+  cells.(Gate_fn.arity fn).(slot)
 
 let dff =
   {

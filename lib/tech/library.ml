@@ -30,12 +30,14 @@ let cell_of_kind t kind =
   | Sttc_netlist.Netlist.Lut { arity; _ } -> Some (lut_cell t arity)
   | Sttc_netlist.Netlist.Dff -> Some (dff_cell t)
 
-let node_delay_ps t kind =
-  match cell_of_kind t kind with
-  | None -> 0.
-  | Some c -> c.Cell.delay_ps
+(* [cell_of_kind] without the option box: STA reads a delay per node
+   visit. *)
+let node_field field t kind =
+  match kind with
+  | Sttc_netlist.Netlist.Pi | Sttc_netlist.Netlist.Const _ -> 0.
+  | Sttc_netlist.Netlist.Gate fn -> field (gate_cell t fn)
+  | Sttc_netlist.Netlist.Lut { arity; _ } -> field (lut_cell t arity)
+  | Sttc_netlist.Netlist.Dff -> field (dff_cell t)
 
-let node_area_um2 t kind =
-  match cell_of_kind t kind with
-  | None -> 0.
-  | Some c -> c.Cell.area_um2
+let node_delay_ps t kind = node_field (fun c -> c.Cell.delay_ps) t kind
+let node_area_um2 t kind = node_field (fun c -> c.Cell.area_um2) t kind

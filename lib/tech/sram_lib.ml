@@ -1,6 +1,4 @@
-let lut n =
-  if n < 1 || n > Sttc_logic.Truth.max_arity then
-    invalid_arg "Sram_lib.lut: arity out of range";
+let cell n =
   let fn = float_of_int n in
   {
     Cell.cell_name = Printf.sprintf "SRAM_LUT%d" n;
@@ -16,3 +14,5 @@ let lut n =
     (* 6T bitcell area dominates *)
     area_um2 = 4.2 +. (1.7 *. float_of_int (1 lsl n));
   }
+
+let lut = Cell.by_fan_in ~what:"Sram_lib.lut" cell

@@ -125,9 +125,7 @@ let fig1_model fn =
 
 (* --- 90 nm-calibrated LUT cells for the hybrid flow --- *)
 
-let lut n =
-  if n < 1 || n > Sttc_logic.Truth.max_arity then
-    invalid_arg "Stt_lib.lut: arity out of range";
+let cell n =
   let fn = float_of_int n in
   {
     Cell.cell_name = Printf.sprintf "STT_LUT%d" n;
@@ -143,6 +141,8 @@ let lut n =
     leakage_nw = 1.1 +. (0.15 *. float_of_int (1 lsl n));
     area_um2 = 3.4 +. (1.05 *. float_of_int (1 lsl n));
   }
+
+let lut = Cell.by_fan_in ~what:"Stt_lib.lut" cell
 
 let write_energy_fj = 450.
 let write_time_ns = 10.

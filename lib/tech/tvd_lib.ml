@@ -1,6 +1,4 @@
-let lut n =
-  if n < 1 || n > Sttc_logic.Truth.max_arity then
-    invalid_arg "Tvd_lib.lut: arity out of range";
+let cell n =
   let fn = float_of_int n in
   {
     Cell.cell_name = Printf.sprintf "TVD_CAMO%d" n;
@@ -16,6 +14,8 @@ let lut n =
     (* one camouflaged gate footprint, linear in fan-in *)
     area_um2 = 2.6 +. (0.85 *. fn);
   }
+
+let lut = Cell.by_fan_in ~what:"Tvd_lib.lut" cell
 
 let candidate_functions n = Sttc_logic.Gate_fn.all_of_arity n
 let program_energy_fj = 820.

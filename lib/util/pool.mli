@@ -7,8 +7,11 @@
     such bags across OCaml 5 domains while keeping submission-order
     results, so serial and parallel runs produce identical output.
 
-    Determinism contract: derive every task's random stream ({!Rng.split}
-    or an explicit per-task seed) {e before} submission.  Tasks must not
+    Determinism contract: every task's random stream comes from an
+    explicit per-task seed fixed {e before} submission (protect seeds
+    [Rng.make (seed lxor Hashtbl.hash algorithm_name)]; a die sweep
+    seeds per die index), never from a generator shared across tasks,
+    so results do not depend on which domain ran what.  Tasks must not
     share mutable state; netlists shared read-only across tasks should
     have their lazy caches forced first ({!Sttc_netlist.Netlist.warm}).
 

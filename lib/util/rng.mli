@@ -12,8 +12,10 @@ val make : int -> t
 
 val split : t -> t
 (** [split t] derives a new generator whose stream is independent of
-    subsequent draws from [t].  Used to give each benchmark / algorithm its
-    own stream so experiment order does not change results. *)
+    subsequent draws from [t].  The experiments do not split: each task
+    makes its own generator from an explicit seed ([Flow.protect] uses
+    [make (seed lxor Hashtbl.hash algorithm_name)]), which is what keeps
+    experiment order from changing results. *)
 
 val int : t -> int -> int
 (** [int t bound] draws uniformly from [0, bound).  [bound > 0]. *)

@@ -352,6 +352,19 @@ let test_brute_force_projects_large () =
       Alcotest.(check bool) "rate measured" true (i.tested_rate_per_s > 0.)
   | Brute_force.Broken _ -> Alcotest.fail "must report infeasible"
 
+let test_brute_force_rejects_wide_bound () =
+  (* 2^63 candidates would wrap the Int64 search index *)
+  let h = protect_n (small_circuit 11) 8 11 in
+  List.iter
+    (fun max_bits ->
+      Alcotest.check_raises
+        (Printf.sprintf "max_bits %d" max_bits)
+        (Invalid_argument
+           (Printf.sprintf "Brute_force.run: max_bits must be in 0..62, not %d"
+              max_bits))
+        (fun () -> ignore (Brute_force.run ~max_bits h)))
+    [ 63; 64; -1 ]
+
 (* ---------- guess attack ---------- *)
 
 let test_guess_attack_improves () =
@@ -807,6 +820,8 @@ let () =
         [
           Alcotest.test_case "tiny" `Slow test_brute_force_tiny;
           Alcotest.test_case "projects large" `Quick test_brute_force_projects_large;
+          Alcotest.test_case "rejects max_bits outside 0..62" `Quick
+            test_brute_force_rejects_wide_bound;
         ] );
       ( "guess_attack",
         [ Alcotest.test_case "improves" `Slow test_guess_attack_improves ] );

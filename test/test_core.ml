@@ -401,6 +401,96 @@ let test_flow_seed_identical_artifacts () =
       Alcotest.(check string) (name ^ " lint identical") l1 l2)
     Flow.default_algorithms
 
+(* A per-design baseline only skips the base analyses: a fitting one
+   gives the same result as none, and one built on another netlist value
+   or with another library is ignored. *)
+let test_flow_baseline_reuse () =
+  let build = Sttc_experiments.Runner.build_circuit in
+  let module Library = Sttc_tech.Library in
+  let module Backend = Sttc_backend.Backend in
+  let nl = build "s641" in
+  let twin = build "s641" and s820 = build "s820" in
+  let sram = Library.with_lut_style lib Library.Sram in
+  let tvd = Backend.find_exn "tvd" in
+  let summary (r : Flow.result) =
+    let h = r.Flow.hybrid in
+    ( Format.asprintf "%a" Flow.pp_result { r with Flow.selection_seconds = 0. },
+      ( r.Flow.overhead,
+        r.Flow.security,
+        r.Flow.parametric_meta,
+        List.map Sttc_lint.Diagnostic.to_text r.Flow.lint ),
+      Sttc_netlist.Bench_io.to_string (Hybrid.foundry_view h),
+      Sttc_core.Provision.to_string (Sttc_core.Provision.of_hybrid h) )
+  in
+  let run ~library ~backend ?baseline alg nl =
+    summary
+      (Flow.run ~seed:3 ~library ~backend ?baseline ~policy:Flow.Strict alg nl)
+        .Flow.accepted
+  in
+  (* (label, selection library, backend, the library Flow prices with,
+     another library) *)
+  let configs =
+    [
+      ("stt", lib, Backend.stt, lib, sram);
+      ("sram", sram, Backend.stt, sram, lib);
+      ("tvd", lib, tvd, Backend.eval_library tvd lib, lib);
+    ]
+  in
+  List.iter
+    (fun (label, library, backend, priced, other_library) ->
+      Alcotest.(check bool) (label ^ ": fits") true
+        (Ppa.built_for (Ppa.baseline priced nl) priced nl);
+      Alcotest.(check bool) (label ^ ": another netlist value") false
+        (Ppa.built_for (Ppa.baseline priced twin) priced nl);
+      Alcotest.(check bool) (label ^ ": another library") false
+        (Ppa.built_for (Ppa.baseline other_library nl) priced nl);
+      List.iter
+        (fun alg ->
+          let name = label ^ " " ^ Flow.algorithm_name alg in
+          let expected = run ~library ~backend alg nl in
+          List.iter
+            (fun (variant, baseline) ->
+              Alcotest.(check bool) (name ^ " " ^ variant) true
+                (run ~library ~backend ~baseline alg nl = expected))
+            [
+              ("fitting baseline", Ppa.baseline priced nl);
+              ("baseline of an equal netlist", Ppa.baseline priced twin);
+              ("baseline of s820", Ppa.baseline priced s820);
+              ("baseline of another library", Ppa.baseline other_library nl);
+            ])
+        Flow.default_algorithms)
+    configs;
+  (* On an input that already holds LUT cells the library matters to the
+     base analyses themselves, so a misfit baseline would show. *)
+  let with_luts =
+    Hybrid.programmed
+      (Flow.run ~seed:3 ~policy:Flow.Strict Flow.Dependent nl).Flow.accepted
+        .Flow.hybrid
+  in
+  let alg = Flow.Independent { count = 5 } in
+  Alcotest.(check bool) "LUT input, SRAM library: cmos90 baseline ignored" true
+    (run ~library:sram ~backend:Backend.stt
+       ~baseline:(Ppa.baseline lib with_luts) alg with_luts
+    = run ~library:sram ~backend:Backend.stt alg with_luts);
+  let tvd_priced = Backend.eval_library tvd lib in
+  Alcotest.(check bool) "LUT input, tvd: baseline timed with tvd cells ignored"
+    true
+    (run ~library:lib ~backend:tvd
+       ~baseline:(Ppa.baseline tvd_priced with_luts) alg with_luts
+    = run ~library:lib ~backend:tvd alg with_luts);
+  (* Ppa.evaluate applies the same rule *)
+  let priced_with library =
+    Ppa.evaluate ~baseline:(Ppa.baseline library with_luts) lib ~base:with_luts
+      ~hybrid:with_luts
+  in
+  Alcotest.(check bool) "evaluate ignores another library's baseline" true
+    (priced_with sram = Ppa.evaluate lib ~base:with_luts ~hybrid:with_luts);
+  Alcotest.(check bool) "the SRAM baseline would price differently" true
+    ((Ppa.baseline sram with_luts |> fun b ->
+      Ppa.evaluate ~baseline:b sram ~base:with_luts ~hybrid:with_luts)
+       .Ppa.base_power_uw
+    <> (priced_with lib).Ppa.base_power_uw)
+
 let test_flow_independent_uses_count () =
   let nl = medium_circuit 19 in
   let r = protect ~seed:4 (Flow.Independent { count = 7 }) nl in
@@ -668,6 +758,7 @@ let () =
           Alcotest.test_case "independent count" `Quick
             test_flow_independent_uses_count;
           Alcotest.test_case "rejects gateless" `Quick test_flow_rejects_gateless;
+          Alcotest.test_case "baseline reuse" `Quick test_flow_baseline_reuse;
         ] );
       ( "camouflage",
         [

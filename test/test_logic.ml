@@ -112,6 +112,27 @@ let test_gate_eval () =
   Alcotest.(check bool) "not" false (Gate_fn.eval Gate_fn.Not [| true |]);
   Alcotest.(check bool) "buf" true (Gate_fn.eval Gate_fn.Buf [| true |])
 
+let test_gate_truth_tables () =
+  (* the tabulated tables equal the ones derived from [eval], for every
+     constructor at every supported arity *)
+  let check fn =
+    let derived = Truth.create ~arity:(Gate_fn.arity fn) (Gate_fn.eval fn) in
+    Alcotest.(check string) (Gate_fn.to_string fn) (Truth.to_string derived)
+      (Truth.to_string (Gate_fn.truth fn));
+    Alcotest.(check int) (Gate_fn.to_string fn ^ " arity")
+      (Gate_fn.arity fn) (Truth.arity (Gate_fn.truth fn))
+  in
+  for n = 1 to 6 do
+    List.iter check (Gate_fn.all_of_arity n)
+  done;
+  (* arities outside what a truth table holds raise as deriving did *)
+  List.iter
+    (fun fn ->
+      Alcotest.check_raises (Gate_fn.to_string fn)
+        (Invalid_argument "Truth: arity out of range") (fun () ->
+          ignore (Gate_fn.truth fn)))
+    [ Gate_fn.And 7; Gate_fn.Xnor 9; Gate_fn.Or (-1) ]
+
 let test_gate_bench_names () =
   Alcotest.(check (option string)) "AND" (Some "AND3")
     (Option.map Gate_fn.to_string (Gate_fn.of_bench_name "AND" ~arity:3));
@@ -721,6 +742,7 @@ let () =
       ( "gate_fn",
         [
           Alcotest.test_case "eval" `Quick test_gate_eval;
+          Alcotest.test_case "truth tables" `Quick test_gate_truth_tables;
           Alcotest.test_case "bench names" `Quick test_gate_bench_names;
           Alcotest.test_case "similarity metrics" `Quick test_gate_similarity_metrics;
           Alcotest.test_case "paper constants" `Quick test_gate_paper_constants;

@@ -508,10 +508,10 @@ let test_cache_hits_via_stats () =
           shutdown_server socket d;
           Alcotest.(check bool) "at least one cache hit" true
             (Metrics.counter_value snap "serve.cache_hits" >= 1);
-          Alcotest.(check bool) "first protect missed the base-STA memo" true
-            (Metrics.counter_value snap "serve.sta_cache_misses" >= 1);
-          Alcotest.(check bool) "second protect hit the base-STA memo" true
-            (Metrics.counter_value snap "serve.sta_cache_hits" >= 1);
+          Alcotest.(check bool) "first protect missed the baseline memo" true
+            (Metrics.counter_value snap "serve.baseline_cache_misses" >= 1);
+          Alcotest.(check bool) "second protect hit the baseline memo" true
+            (Metrics.counter_value snap "serve.baseline_cache_hits" >= 1);
           Alcotest.(check bool) "requests counted" true
             (Metrics.counter_value snap "serve.requests" >= 2)
       | Ok _ ->

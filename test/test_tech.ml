@@ -153,6 +153,117 @@ let test_lut_vs_cmos_calibration () =
   Alcotest.(check bool) "write costly" true
     (Stt.write_energy_fj > lut2.Cell.switch_energy_fj)
 
+(* ---------- tabulated cells ---------- *)
+
+(* The cell models restated as formulas, evaluated in the libraries' own
+   operation order so the tabulated floats must match bit for bit. *)
+let cmos_formula fn =
+  let tc = Cmos.transistor_count fn in
+  let tau = 32. and f k = float_of_int (k - 1) in
+  let delay_ps =
+    match fn with
+    | Gate_fn.Buf -> 1.6 *. tau
+    | Gate_fn.Not -> 1.0 *. tau
+    | Gate_fn.Nand n -> tau *. (1.0 +. (0.33 *. f n))
+    | Gate_fn.Nor n -> tau *. (1.0 +. (0.62 *. f n))
+    | Gate_fn.And n -> tau *. (2.0 +. (0.33 *. f n))
+    | Gate_fn.Or n -> tau *. (2.0 +. (0.62 *. f n))
+    | Gate_fn.Xor n | Gate_fn.Xnor n -> tau *. (2.2 +. (0.85 *. f n))
+  in
+  let stack =
+    match fn with
+    | Gate_fn.Nand n | Gate_fn.Nor n | Gate_fn.And n | Gate_fn.Or n ->
+        1.0 /. (1.0 +. (0.45 *. f n))
+    | Gate_fn.Buf | Gate_fn.Not | Gate_fn.Xor _ | Gate_fn.Xnor _ -> 1.0
+  in
+  {
+    Cell.cell_name = Gate_fn.to_string fn;
+    style = Cell.Cmos;
+    arity = Gate_fn.arity fn;
+    delay_ps;
+    switch_energy_fj = 1.1 *. float_of_int tc /. 2.;
+    leakage_nw = 2.4 *. (float_of_int tc /. 2.) *. stack;
+    area_um2 = 0.55 *. float_of_int tc;
+  }
+
+let lut_formulas =
+  let bits n = float_of_int (1 lsl n) in
+  [
+    ( "Stt_lib",
+      Stt.lut,
+      fun n ->
+        let fn = float_of_int n in
+        {
+          Cell.cell_name = Printf.sprintf "STT_LUT%d" n;
+          style = Cell.Stt_lut;
+          arity = n;
+          delay_ps = 160. +. (25. *. fn);
+          switch_energy_fj = 6.3 *. (1.6 ** (fn -. 2.));
+          leakage_nw = 1.1 +. (0.15 *. bits n);
+          area_um2 = 3.4 +. (1.05 *. bits n);
+        } );
+    ( "Sram_lib",
+      Sttc_tech.Sram_lib.lut,
+      fun n ->
+        let fn = float_of_int n in
+        {
+          Cell.cell_name = Printf.sprintf "SRAM_LUT%d" n;
+          style = Cell.Stt_lut;
+          arity = n;
+          delay_ps = 95. +. (22. *. fn);
+          switch_energy_fj = 3.1 *. (1.55 ** (fn -. 2.));
+          leakage_nw = 6.5 +. (3.8 *. bits n);
+          area_um2 = 4.2 +. (1.7 *. bits n);
+        } );
+    ( "Tvd_lib",
+      Sttc_tech.Tvd_lib.lut,
+      fun n ->
+        let fn = float_of_int n in
+        {
+          Cell.cell_name = Printf.sprintf "TVD_CAMO%d" n;
+          style = Cell.Tvd;
+          arity = n;
+          delay_ps = 45. +. (18. *. fn);
+          switch_energy_fj = 1.9 *. (1.35 ** (fn -. 2.));
+          leakage_nw = 3.2 +. (0.9 *. fn);
+          area_um2 = 2.6 +. (0.85 *. fn);
+        } );
+  ]
+
+let test_tabulated_cells () =
+  for n = 1 to 6 do
+    List.iter
+      (fun fn ->
+        let cell = Cmos.gate fn in
+        Alcotest.(check bool) (Gate_fn.to_string fn ^ " = formula") true
+          (cell = cmos_formula fn);
+        Alcotest.(check bool) (Gate_fn.to_string fn ^ " is one constant") true
+          (cell == Cmos.gate fn))
+      (Gate_fn.all_of_arity n);
+    List.iter
+      (fun (name, lut, formula) ->
+        let label = Printf.sprintf "%s.lut %d" name n in
+        Alcotest.(check bool) (label ^ " = formula") true (lut n = formula n);
+        Alcotest.(check bool) (label ^ " is one constant") true (lut n == lut n))
+      lut_formulas
+  done;
+  List.iter
+    (fun fn ->
+      Alcotest.check_raises (Gate_fn.to_string fn)
+        (Invalid_argument "Gate_fn.validate: arity out of [2, 6]") (fun () ->
+          ignore (Cmos.gate fn)))
+    [ Gate_fn.And 1; Gate_fn.Nor 0; Gate_fn.Xor 7 ];
+  List.iter
+    (fun (name, lut, _) ->
+      List.iter
+        (fun n ->
+          Alcotest.check_raises
+            (Printf.sprintf "%s.lut %d" name n)
+            (Invalid_argument (name ^ ".lut: arity out of range"))
+            (fun () -> ignore (lut n)))
+        [ 0; 7; -1 ])
+    lut_formulas
+
 let test_sram_baseline () =
   let sram2 = Sttc_tech.Sram_lib.lut 2 and stt2 = Stt.lut 2 in
   (* the Section II trade-off: SRAM reads faster but leaks much more *)
@@ -215,5 +326,7 @@ let () =
           Alcotest.test_case "calibration vs CMOS" `Quick test_lut_vs_cmos_calibration;
         ] );
       ("library", [ Alcotest.test_case "lookup" `Quick test_library_lookup ]);
+      ( "tables",
+        [ Alcotest.test_case "cells equal their formulas" `Quick test_tabulated_cells ] );
       ("sram", [ Alcotest.test_case "baseline trade-offs" `Quick test_sram_baseline ]);
     ]

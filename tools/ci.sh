@@ -142,14 +142,20 @@ if ! diff -u "$tmpdir/table1.j1" "$tmpdir/table1.j2"; then
   exit 1
 fi
 
-echo "== pool gate (full sttc table1 and fig3 -j 2 must match -j 1 byte for byte)"
+echo "== pool and golden gate (full sttc table1 and fig3: -j 2 must match -j 1, and -j 1 the committed goldens, byte for byte)"
 # Only the full table is large enough for Runner.rows to take the pool
 # path (the quick set stays under Pool.worthwhile's threshold at any -j).
+# test/golden/ pins the paper's outputs across commits: a change that
+# moves a number must say why and re-commit the golden with it.
 for exp in table1 fig3; do
   sttc "$exp" -j 1 > "$tmpdir/$exp.full.j1"
   sttc "$exp" -j 2 > "$tmpdir/$exp.full.j2"
   if ! diff -u "$tmpdir/$exp.full.j1" "$tmpdir/$exp.full.j2"; then
     echo "POOL MISMATCH: full sttc $exp differs between -j 1 and -j 2" >&2
+    exit 1
+  fi
+  if ! diff -u "test/golden/$exp.txt" "$tmpdir/$exp.full.j1"; then
+    echo "GOLDEN MISMATCH: full sttc $exp -j 1 differs from test/golden/$exp.txt" >&2
     exit 1
   fi
 done
@@ -355,10 +361,11 @@ fi
 sttc obs-check --metrics "$SCALE_METRICS" \
   --require sta.retime.cone,sta.retime.cone_nodes
 
-echo "== serve sta-cache gate (repeated protect of one netlist must hit the base-STA memo)"
+echo "== serve baseline-cache gate (repeated protect of one netlist must hit the baseline memo)"
 # Two protect requests for the same circuit under different seeds: the
 # response cache cannot absorb them (different keys), so the second one
-# must find the base Sta.analyze memoized by content hash.
+# must find the per-design baseline (base STA, activity, power, area)
+# memoized by content hash.
 cat > "$tmpdir/cache.requests" <<'EOF'
 {"id":"p1","verb":"protect","netlist":"s641","algorithm":"dependent","seed":1}
 {"id":"p2","verb":"protect","netlist":"s641","algorithm":"dependent","seed":2}
@@ -366,7 +373,7 @@ EOF
 "$STTC_BIN" client --offline --request-file "$tmpdir/cache.requests" \
   --metrics "$tmpdir/cache.metrics.json" > /dev/null
 sttc obs-check --metrics "$tmpdir/cache.metrics.json" \
-  --require serve.sta_cache_hits,serve.sta_cache_misses
+  --require serve.baseline_cache_hits,serve.baseline_cache_misses
 
 echo "== backend gate (stt byte-identity, tvd protect->attack smoke, unknown name exits 64)"
 # The backend seam must be invisible under the default technology:
